@@ -14,8 +14,8 @@ are emitted as one JSON line on stderr. All floats are serialized with 17
 significant digits, so reruns with the same seed are byte-identical.
 
 GPD data are treated as pre-computed exceedances: the location (threshold)
-components are pinned to 0 by default and only move if explicit priors,
-bounds, or bounds say otherwise.
+components are pinned to 0 by default and only move if an explicit priors
+file (``sample --priors``) or bounds file (``fit --bounds``) says otherwise.
 """
 
 from __future__ import annotations
@@ -141,31 +141,21 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # CSV ingestion
 
 
-def load_csv(path: str):
-    """Read a header-first CSV into (data, covariates, covariate names).
+def _read_table(path: str):
+    """Read a header-first numeric CSV into (header, rows x columns array).
 
-    The column named "value" (case-insensitive) is the data vector; every
-    other column, in file order, becomes a covariate. Rows with any
-    unparsable or non-finite cell are rejected with their row numbers.
+    Blank lines are skipped. Rows with a missing, extra, unparsable or
+    non-finite cell are rejected with their row numbers.
     """
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ConfigError(f"{path} is empty")
-        header = [h.strip() for h in header]
-        lowered = [h.lower() for h in header]
-        if "value" not in lowered:
-            raise ConfigError(
-                f'no "value" column in {path}; available columns: {header}'
-            )
-        value_idx = lowered.index("value")
-        cov_names = [h for i, h in enumerate(header) if i != value_idx]
-        data: list[float] = []
-        cov_rows: list[list[float]] = []
+        rows: list[list[float]] = []
         bad_rows: list[int] = []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -177,43 +167,34 @@ def load_csv(path: str):
             except ValueError:
                 bad_rows.append(row_no)
                 continue
-            data.append(cells[value_idx])
-            cov_rows.append([v for i, v in enumerate(cells) if i != value_idx])
-        if bad_rows:
-            raise ConfigError(f"unparsable cells in {path} at rows {bad_rows}")
-        if not data:
-            raise ConfigError(f"{path} contains no data rows")
-    covariates = np.array(cov_rows) if cov_names else np.empty((len(data), 0))
-    return np.array(data), covariates, cov_names
+            rows.append(cells)
+    if bad_rows:
+        raise ConfigError(f"unparsable cells in {path} at rows {bad_rows}")
+    if not rows:
+        raise ConfigError(f"{path} contains no data rows")
+    return header, np.array(rows)
 
 
-def _load_covariates(path: str):
-    """Covariate-only CSV loader; a "value" column, if present, is ignored."""
-    if not os.path.exists(path):
-        raise ConfigError(f"covariate file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ConfigError(f"{path} is empty")
-        keep = [i for i, h in enumerate(header) if h.lower() != "value"]
-        if not keep:
-            raise ConfigError(f"{path} holds no covariate columns")
-        rows = []
-        bad_rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(row[i]) for i in keep])
-            except (ValueError, IndexError):
-                bad_rows.append(row_no)
-        if bad_rows:
-            raise ConfigError(f"unparsable cells in {path} at rows {bad_rows}")
-        if not rows:
-            raise ConfigError(f"{path} contains no data rows")
-    return np.array(rows), [header[i] for i in keep]
+def _split_value(header: list[str], table: np.ndarray):
+    """Separate the "value" column (case-insensitive, index or None) from the rest."""
+    lowered = [h.lower() for h in header]
+    value_idx = lowered.index("value") if "value" in lowered else None
+    keep = [i for i in range(len(header)) if i != value_idx]
+    return value_idx, table[:, keep], [header[i] for i in keep]
+
+
+def load_csv(path: str):
+    """Read a header-first CSV into (data, covariates, covariate names).
+
+    The column named "value" (case-insensitive) is the data vector; every
+    other column, in file order, becomes a covariate. Rows with any
+    unparsable or non-finite cell are rejected with their row numbers.
+    """
+    header, table = _read_table(path)
+    value_idx, covariates, cov_names = _split_value(header, table)
+    if value_idx is None:
+        raise ConfigError(f'no "value" column in {path}; available columns: {header}')
+    return table[:, value_idx].copy(), covariates, cov_names
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +423,10 @@ def _cmd_simulate(cfg: RunConfig) -> None:
     family = EvdFamily.parse(cfg.dist)
     a, b, c = cfg.config
     if cfg.covariates_path:
-        covariates, cov_names = _load_covariates(cfg.covariates_path)
+        # a covariate file is read like a data file; its "value" column is ignored
+        _, covariates, cov_names = _split_value(*_read_table(cfg.covariates_path))
+        if not cov_names:
+            raise ConfigError(f"{cfg.covariates_path} holds no covariate columns")
         n = covariates.shape[0]
     else:
         n = cfg.n

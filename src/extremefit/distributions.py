@@ -7,12 +7,29 @@ The shape parameter ``xi`` follows Coles: the support requires
 the GEV. Note that some software (e.g. scipy's genextreme) parameterizes
 the shape with the opposite sign.
 
-Within ``|xi| < XI_EPS`` the exact Gumbel / exponential limit expressions
-are used to avoid cancellation in ``t**(-1/xi)``.
+One kernel for both families
+----------------------------
+With ``z = (x - loc) / scale`` everything is written through
+
+    h(xi, z) = log1p(xi z) / xi = z L(xi z),   L(y) = log1p(y) / y,
+
+the cumulative hazard ``-log(1 - F)`` of the GPD and ``-log(-log F)`` of the GEV:
+
+    GEV  logpdf = -log scale - (1 + xi) h - exp(-h),   cdf = exp(-exp(-h))
+    GPD  logpdf = -log scale - (1 + xi) h  (z >= 0),   cdf = -expm1(-h)
+
+``dh/dz = 1 / (1 + xi z)`` and ``dh/dxi = z**2 M(xi z)`` with
+``M(y) = (1 / (1 + y) - L(y)) / y`` give the gradient, and quantiles use the
+inverse ``expm1(xi w) / xi``. For ``|xi z| < 1e-2`` the ratios L, M and
+``expm1(y) / y`` are short Taylor series, so xi = 0 yields the Gumbel and
+exponential limits (Coles 2001, sections 3.1.3 and 4.2.2) and small xi
+loses no accuracy to cancellation (M's closed form loses about
+``5e-16 / |y|`` relative, which sets the switch point).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +37,12 @@ import numpy as np
 
 from .errors import DomainError
 
-XI_EPS = 1e-8
+# Below |y| = _SERIES the Taylor series of L, M and E replace the ratios;
+# each is truncated where the next term is under 1e-16 of the sum there.
+_SERIES = 1e-2
+_L_COEF = tuple((-1) ** k / (k + 1) for k in range(8))  # L(y) = log1p(y) / y
+_M_COEF = tuple((-1) ** k * k / (k + 1) for k in range(1, 10))  # M(y) = L'(y)
+_E_COEF = tuple(1 / math.factorial(k + 1) for k in range(7))  # E(y) = expm1(y) / y
 
 
 class EvdFamily(Enum):
@@ -50,62 +72,50 @@ def _check_scale(scale) -> None:
         raise DomainError("scale parameter must be finite and > 0")
 
 
+def _standardize(family: EvdFamily, x, loc, scale, shape):
+    """Return (z, scale, shape, inside) with z NaN outside the support.
+
+    The ufuncs broadcast the arguments; z and inside have the full shape.
+    """
+    _check_scale(scale)
+    x, loc, scale, shape = (np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
+    z = (x - loc) / scale
+    inside = shape * z > -1.0
+    if family is EvdFamily.GPD:
+        inside &= z >= 0
+    return np.where(inside, z, np.nan), scale, shape, inside
+
+
+def _ratio(coefs, factor, numerator, xi, y) -> np.ndarray:
+    """factor * series(y) where |y| < _SERIES, numerator / xi elsewhere (xi != 0 there)."""
+    out = np.full(y.shape, coefs[-1])
+    for c in coefs[-2::-1]:  # Horner
+        out *= y
+        out += c
+    out *= factor
+    np.divide(numerator, xi, out=out, where=np.abs(y) >= _SERIES)
+    return out
+
+
+def _h(xi, z) -> np.ndarray:
+    """h = log1p(xi z) / xi."""
+    y = xi * z
+    return _ratio(_L_COEF, z, np.log1p(y), xi, y)
+
+
 def logpdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     """Vectorized log-density; -inf outside the support.
 
     All arguments broadcast against each other. The caller guarantees
     scale > 0 (violations raise DomainError rather than returning -inf).
     """
-    _check_scale(scale)
-    x, loc, scale, shape = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
-    )
-    z = (x - loc) / scale
-    out = np.full(z.shape, -np.inf)
-    small = np.abs(shape) < XI_EPS
-
+    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
+    h = _h(shape, z)
+    out = -np.log(scale) - (1.0 + shape) * h
     if family is EvdFamily.GEV:
-        if small.any():
-            zs = z[small]
-            with np.errstate(over="ignore"):
-                out[small] = -np.log(scale[small]) - zs - np.exp(-zs)
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            zg = z[gen]
-            t = 1.0 + xi * zg
-            ok = t > 0
-            vals = np.full(zg.shape, -np.inf)
-            if ok.any():
-                xio = xi[ok]
-                logt = np.log1p(xio * zg[ok])
-                with np.errstate(over="ignore"):
-                    vals[ok] = (
-                        -np.log(scale[gen][ok])
-                        - (1.0 + 1.0 / xio) * logt
-                        - np.exp(-logt / xio)
-                    )
-            out[gen] = vals
-    else:
-        if small.any():
-            zs = z[small]
-            ok = zs >= 0
-            vals = np.full(zs.shape, -np.inf)
-            vals[ok] = -np.log(scale[small][ok]) - zs[ok]
-            out[small] = vals
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            zg = z[gen]
-            t = 1.0 + xi * zg
-            ok = (zg >= 0) & (t > 0)
-            vals = np.full(zg.shape, -np.inf)
-            if ok.any():
-                xio = xi[ok]
-                logt = np.log1p(xio * zg[ok])
-                vals[ok] = -np.log(scale[gen][ok]) - (1.0 + 1.0 / xio) * logt
-            out[gen] = vals
-    return out
+        with np.errstate(over="ignore"):
+            out -= np.exp(-h)
+    return np.where(inside, out, -np.inf)
 
 
 def logpdf(family: EvdFamily, x: float, p: ParamTriple) -> float:
@@ -119,26 +129,11 @@ def quantile_values(family: EvdFamily, p_nonexceed, loc, scale, shape) -> np.nda
     p = np.asarray(p_nonexceed, dtype=float)
     if np.any(p <= 0) or np.any(p >= 1):
         raise DomainError("non-exceedance probability must lie strictly in (0, 1)")
-    p, loc, scale, shape = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (p, loc, scale, shape))
-    )
-    out = np.empty(p.shape)
-    small = np.abs(shape) < XI_EPS
-    if family is EvdFamily.GEV:
-        w = -np.log(-np.log(p))  # standard Gumbel quantile
-        out[small] = loc[small] + scale[small] * w[small]
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            out[gen] = loc[gen] + scale[gen] * np.expm1(xi * w[gen]) / xi
-    else:
-        w = -np.log1p(-p)  # standard exponential quantile
-        out[small] = loc[small] + scale[small] * w[small]
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            out[gen] = loc[gen] + scale[gen] * np.expm1(xi * w[gen]) / xi
-    return out
+    loc, scale, shape = (np.asarray(v, dtype=float) for v in (loc, scale, shape))
+    # standard Gumbel / exponential quantile, i.e. h at the answer
+    w = -np.log(-np.log(p)) if family is EvdFamily.GEV else -np.log1p(-p)
+    y = shape * w
+    return loc + scale * _ratio(_E_COEF, w, np.expm1(y), shape, y)
 
 
 def quantile(family: EvdFamily, p_nonexceed: float, params: ParamTriple) -> float:
@@ -152,38 +147,15 @@ def quantile(family: EvdFamily, p_nonexceed: float, params: ParamTriple) -> floa
 
 def cdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     """Vectorized CDF (clamped to [0, 1] outside the support)."""
-    _check_scale(scale)
-    x, loc, scale, shape = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
-    )
-    z = (x - loc) / scale
-    out = np.empty(z.shape)
-    small = np.abs(shape) < XI_EPS
+    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
+    h = _h(shape, z)
     if family is EvdFamily.GEV:
         with np.errstate(over="ignore"):
-            out[small] = np.exp(-np.exp(-z[small]))
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            t = 1.0 + xi * z[gen]
-            vals = np.where(xi > 0, 0.0, 1.0)  # below/above the finite endpoint
-            ok = t > 0
-            with np.errstate(over="ignore"):
-                vals[ok] = np.exp(-np.exp(-np.log1p(xi[ok] * z[gen][ok]) / xi[ok]))
-            out[gen] = vals
+            out = np.exp(-np.exp(-h))
     else:
-        zc = np.clip(z, 0.0, None)
-        with np.errstate(over="ignore"):
-            out[small] = -np.expm1(-zc[small])
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            t = 1.0 + xi * zc[gen]
-            vals = np.ones(t.shape)  # beyond the upper endpoint when xi < 0
-            ok = t > 0
-            vals[ok] = -np.expm1(-np.log1p(xi[ok] * zc[gen][ok]) / xi[ok])
-            out[gen] = vals
-    return out
+        out = -np.expm1(-h)
+    # outside the support: 1 beyond a finite upper endpoint (xi < 0), else 0
+    return np.where(inside, out, (shape < 0) & (np.asarray(x, dtype=float) >= loc))
 
 
 def cdf(family: EvdFamily, x: float, params: ParamTriple) -> float:
@@ -206,102 +178,27 @@ def sample(family: EvdFamily, params: ParamTriple, rng, size: int | None = None)
 def grad_logpdf_values(family: EvdFamily, x, loc, scale, shape):
     """Vectorized (d/dloc, d/dscale, d/dshape) of the log-density.
 
-    Entries outside the support are returned as NaN; callers that require
-    interior points must check the log-density first.
+    Entries outside the support are NaN, so a caller that needs interior
+    points checks the result for non-finite entries.
     """
-    _check_scale(scale)
-    x, loc, scale, shape = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
-    )
-    s = (x - loc) / scale
-    gmu = np.full(s.shape, np.nan)
-    gsig = np.full(s.shape, np.nan)
-    gxi = np.full(s.shape, np.nan)
-    small = np.abs(shape) < XI_EPS
-
+    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
+    h = _h(shape, z)
+    y = shape * z
+    inv_t = 1.0 / (1.0 + y)  # dh/dz
+    dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
+    dlp_dh = -(1.0 + shape)
     if family is EvdFamily.GEV:
-        if small.any():
-            zs = s[small]
-            sg = scale[small]
-            with np.errstate(over="ignore"):
-                emz = np.exp(-zs)
-            gmu[small] = (1.0 - emz) / sg
-            gsig[small] = (zs * (1.0 - emz) - 1.0) / sg
-            gxi[small] = 0.5 * zs**2 * (1.0 - emz) - zs
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            sg = s[gen]
-            sc = scale[gen]
-            t = 1.0 + xi * sg
-            ok = t > 0
-            if ok.any():
-                xio = xi[ok]
-                so = sg[ok]
-                to = t[ok]
-                logt = np.log1p(xio * so)
-                with np.errstate(over="ignore"):
-                    u = np.exp(-logt / xio)  # t^(-1/xi)
-                    u1 = np.exp(-(1.0 / xio + 1.0) * logt)  # t^(-1/xi - 1)
-                core = (xio + 1.0) / to - u1
-                tmp_mu = np.full(sg.shape, np.nan)
-                tmp_sig = np.full(sg.shape, np.nan)
-                tmp_xi = np.full(sg.shape, np.nan)
-                tmp_mu[ok] = core / sc[ok]
-                tmp_sig[ok] = -1.0 / sc[ok] + core * so / sc[ok]
-                lt_over_xi2 = logt / xio**2
-                tmp_xi[ok] = (
-                    lt_over_xi2
-                    - (1.0 + 1.0 / xio) * so / to
-                    - u * (lt_over_xi2 - so / (xio * to))
-                )
-                gmu[gen] = tmp_mu
-                gsig[gen] = tmp_sig
-                gxi[gen] = tmp_xi
-    else:
-        if small.any():
-            zs = s[small]
-            sg = scale[small]
-            inside = zs >= 0
-            tmp_mu = np.full(zs.shape, np.nan)
-            tmp_sig = np.full(zs.shape, np.nan)
-            tmp_xi = np.full(zs.shape, np.nan)
-            tmp_mu[inside] = 1.0 / sg[inside]
-            tmp_sig[inside] = (zs[inside] - 1.0) / sg[inside]
-            tmp_xi[inside] = 0.5 * zs[inside] ** 2 - zs[inside]
-            gmu[small] = tmp_mu
-            gsig[small] = tmp_sig
-            gxi[small] = tmp_xi
-        gen = ~small
-        if gen.any():
-            xi = shape[gen]
-            sg = s[gen]
-            sc = scale[gen]
-            t = 1.0 + xi * sg
-            ok = (sg >= 0) & (t > 0)
-            if ok.any():
-                xio = xi[ok]
-                so = sg[ok]
-                to = t[ok]
-                logt = np.log1p(xio * so)
-                core = (xio + 1.0) / to
-                tmp_mu = np.full(sg.shape, np.nan)
-                tmp_sig = np.full(sg.shape, np.nan)
-                tmp_xi = np.full(sg.shape, np.nan)
-                tmp_mu[ok] = core / sc[ok]
-                tmp_sig[ok] = -1.0 / sc[ok] + core * so / sc[ok]
-                tmp_xi[ok] = logt / xio**2 - (1.0 + 1.0 / xio) * so / to
-                gmu[gen] = tmp_mu
-                gsig[gen] = tmp_sig
-                gxi[gen] = tmp_xi
+        with np.errstate(over="ignore"):
+            dlp_dh = dlp_dh + np.exp(-h)
+    gmu = -dlp_dh * inv_t / scale
+    gsig = -(1.0 + dlp_dh * z * inv_t) / scale
+    gxi = dlp_dh * dh_dxi - h
     return gmu, gsig, gxi
 
 
 def grad_logpdf(family: EvdFamily, x: float, p: ParamTriple) -> np.ndarray:
     """Analytic gradient of logpdf w.r.t. (loc, scale, shape) at an interior x."""
-    if not np.isfinite(logpdf(family, x, p)):
+    g = np.concatenate(grad_logpdf_values(family, np.array([x]), p.loc, p.scale, p.shape))
+    if not np.all(np.isfinite(g)):
         raise DomainError("x lies on or outside the support boundary")
-    gmu, gsig, gxi = grad_logpdf_values(
-        family, np.array([x]), p.loc, p.scale, p.shape
-    )
-    return np.array([gmu[0], gsig[0], gxi[0]])
+    return g

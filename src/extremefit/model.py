@@ -222,13 +222,11 @@ def neg_log_likelihood(spec: ModelSpec, theta) -> float:
 def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
     """Analytic gradient of the nll via the chain rule over the links.
 
-    Requires a finite nll at theta (DomainError otherwise). For the
-    log-linear scale the inner derivative multiplies by sigma_t; identity
-    links pass covariates straight through.
+    Requires a finite nll at theta: the kernel's NaN or inf at a point
+    outside the support raises DomainError. For the log-linear scale the
+    inner derivative multiplies by sigma_t; identity links pass covariates
+    straight through.
     """
-    theta = _check_theta(spec, theta)
-    if not np.isfinite(neg_log_likelihood(spec, theta)):
-        raise DomainError("nll is infinite at theta; gradient undefined")
     loc, scale, shape = realize(spec, theta)
     gmu, gsig, gxi = grad_logpdf_values(spec.family, spec.data, loc, scale, shape)
     x_loc, x_scale, x_shape = spec._designs
@@ -239,4 +237,7 @@ def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
     else:
         g_gamma = -(x_scale.T @ (gsig * scale))
     g_delta = -(x_shape.T @ gxi)
-    return np.concatenate([g_beta, g_gamma, g_delta])
+    grad = np.concatenate([g_beta, g_gamma, g_delta])
+    if not np.all(np.isfinite(grad)):
+        raise DomainError("nll is infinite at theta; gradient undefined")
+    return grad

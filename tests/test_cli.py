@@ -127,6 +127,19 @@ class TestSimulate:
         assert names == ["temp"]
         assert np.array_equal(c[:, 0], np.arange(30.0))
 
+    def test_covariate_row_with_extra_cell_names_row(self, tmp_path):
+        (tmp_path / "c.csv").write_text("year,temp\n1,2,999\n3,4\n")
+        res = run_cli(
+            ["simulate", "--config", "1,0,0", "--true-params", "0,0.1,1,0",
+             "--covariates", "c.csv", "--seed", "1", "--out", "s"],
+            tmp_path,
+        )
+        assert res.returncode == EXIT_CONFIG
+        err = json.loads(res.stderr)
+        assert err["error"] == "config"
+        assert "rows [1]" in err["message"]
+        assert not (tmp_path / "s" / "simulated.csv").exists()
+
     def test_bad_scale_is_config_error(self, tmp_path):
         res = run_cli(
             ["simulate", "--config", "0,0,0", "--true-params", "0,-1,0",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremefit import (
     DomainError,
@@ -17,7 +19,12 @@ from extremefit import (
     quantile,
     sample,
 )
-from extremefit.distributions import logpdf_values, quantile_values
+from extremefit.distributions import (
+    cdf_values,
+    grad_logpdf_values,
+    logpdf_values,
+    quantile_values,
+)
 
 GEV = EvdFamily.GEV
 GPD = EvdFamily.GPD
@@ -64,15 +71,24 @@ class TestLogpdf:
             logpdf(GPD, 0.0, ParamTriple(0, 0, 0))
 
     def test_shape_continuity_at_zero(self):
+        """logpdf, cdf, quantile and gradient at xi = 1e-9 match the xi = 0 limit."""
+
+        def evaluations(fam, x, u, trip):
+            return np.concatenate([
+                [logpdf(fam, x, trip), cdf(fam, x, trip), quantile(fam, u, trip)],
+                grad_logpdf(fam, x, trip),
+            ])
+
         rng = RngState(21, 0)
         for fam in (GEV, GPD):
             for _ in range(50):
                 mu = rng.normal()
                 sig = 0.5 + abs(rng.normal())
                 x = mu + sig * (abs(rng.normal()) if fam is GPD else rng.normal())
-                tiny = logpdf(fam, x, ParamTriple(mu, sig, 1e-9))
-                zero = logpdf(fam, x, ParamTriple(mu, sig, 0.0))
-                assert abs(tiny - zero) < 1e-6
+                u = 0.01 + 0.98 * rng.uniform()
+                tiny = evaluations(fam, x, u, ParamTriple(mu, sig, 1e-9))
+                zero = evaluations(fam, x, u, ParamTriple(mu, sig, 0.0))
+                assert np.max(np.abs(tiny - zero)) < 1e-6
 
     def test_normalization(self):
         rng = RngState(33, 0)
@@ -180,3 +196,69 @@ class TestGradLogpdf:
             worst = max(worst, rel)
             checked += 1
         assert worst < 1e-5
+
+
+def _scaled_error(actual, expected):
+    """|actual - expected| / max(1, |expected|), elementwise."""
+    expected = np.asarray(expected, dtype=float)
+    return np.abs(np.asarray(actual) - expected) / np.maximum(1.0, np.abs(expected))
+
+
+def _tiny_shape(lo_exponent, hi_exponent):
+    """+-10**e with e uniform in [lo_exponent, hi_exponent]."""
+    return st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(lo_exponent, hi_exponent),
+    )
+
+
+class TestOracles:
+    """The one kernel against scipy (Coles' xi is scipy's -c for the GEV) and mpmath."""
+
+    @given(
+        gev=st.booleans(),
+        mu=st.floats(-10.0, 10.0),
+        sig=st.floats(0.1, 10.0),
+        xi=st.one_of(
+            st.just(0.0),
+            st.floats(-0.45, 0.45).filter(lambda v: abs(v) >= 1e-12),
+            _tiny_shape(-12.0, -2.0),
+        ),
+        u=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, gev, mu, sig, xi, u):
+        stats = pytest.importorskip("scipy.stats")
+        fam = GEV if gev else GPD
+        dist = stats.genextreme(-xi, mu, sig) if gev else stats.genpareto(xi, mu, sig)
+        u = np.array(u)
+        x = dist.ppf(u)  # inside the support, computed apart from extremefit
+        assert np.max(_scaled_error(logpdf_values(fam, x, mu, sig, xi), dist.logpdf(x))) <= 1e-12
+        assert np.max(_scaled_error(cdf_values(fam, x, mu, sig, xi), dist.cdf(x))) <= 1e-10
+        assert np.max(_scaled_error(quantile_values(fam, u, mu, sig, xi), x)) <= 1e-10
+
+    @given(
+        gev=st.booleans(),
+        xi=_tiny_shape(-10.0, -3.0),
+        mu=st.floats(-10.0, 10.0),
+        sig=st.floats(0.1, 10.0),
+        z=st.floats(-3.0, 30.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_shape_gradient_matches_mpmath(self, gev, xi, mu, sig, z):
+        mp = pytest.importorskip("mpmath")
+        fam = GEV if gev else GPD
+        z = z if gev else abs(z)
+        x = mu + sig * z
+
+        def exact_logpdf(shape):
+            zz = (mp.mpf(x) - mu) / sig
+            h = mp.log1p(shape * zz) / shape
+            out = -mp.log(sig) - (1 + shape) * h
+            return out - mp.exp(-h) if gev else out
+
+        with mp.workdps(50):
+            expected = float(mp.diff(exact_logpdf, mp.mpf(xi)))
+        gxi = grad_logpdf_values(fam, np.array([x]), mu, sig, xi)[2][0]
+        assert _scaled_error(gxi, expected) <= 1e-12
