@@ -48,7 +48,16 @@ from .model import (
 from .numerics import RngState, central_diff_grad, chi2_sf, lgamma, reg_lower_inc_gamma
 from .optimize import Bounds, FitResult, fit_mle, infer_bounds, nelder_mead
 from .priors import PriorComponent, PriorSet, default_priors, grad_log_prior, log_prior
-from .samplers import Chain, Target, hmc, leapfrog, mala, mh_random_walk, posterior_target
+from .samplers import (
+    Chain,
+    Target,
+    hmc,
+    leapfrog,
+    mala,
+    mh_random_walk,
+    posterior_target,
+    sample_chains,
+)
 
 __version__ = "0.1.0"
 
@@ -105,6 +114,7 @@ __all__ = [
     "reg_lower_inc_gamma",
     "return_levels",
     "sample",
+    "sample_chains",
     "sample_lmoments",
     "split_rhat",
     "validate_config",

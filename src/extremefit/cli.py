@@ -37,7 +37,7 @@ from .model import ModelSpec, param_dim, param_names, realize, validate_config
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds, load_bounds
 from .priors import PriorComponent, PriorSet, default_priors, load_priors
-from .samplers import hmc, mala, mh_random_walk, posterior_target
+from .samplers import posterior_target, sample_chains
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -350,27 +350,18 @@ def _cmd_fit(cfg: RunConfig) -> None:
     _write_json(os.path.join(cfg.out, "result.json"), payload)
 
 
-def _run_one_chain(cfg: RunConfig, target, x0, steps, stream_id: int):
-    rng = RngState(cfg.seed, stream_id)
-    if cfg.sampler == "rw":
-        return mh_random_walk(target, cfg.num_samples, x0, steps, T=cfg.temp,
-                              rng=rng, burn_in=cfg.burn_in, thin=cfg.thin)
-    if cfg.sampler == "mala":
-        return mala(target, cfg.num_samples, x0, steps, T=cfg.temp,
-                    rng=rng, burn_in=cfg.burn_in, thin=cfg.thin)
-    mass = 1.0 / steps**2
-    return hmc(target, cfg.num_samples, x0, cfg.eps, cfg.leapfrog, mass_diag=mass,
-               T=cfg.temp, rng=rng, burn_in=cfg.burn_in, thin=cfg.thin)
-
-
 def _cmd_sample(cfg: RunConfig) -> None:
     data, covariates, _ = load_csv(cfg.input)
     spec = _build_spec(cfg, data, covariates)
     priors = _resolve_priors(cfg, spec)
     x0 = _resolve_init(cfg, spec)
     steps = _resolve_steps(cfg, spec, priors, _resolve_bounds(cfg, spec), x0)
-    target = posterior_target(spec, priors)
-    chains = [_run_one_chain(cfg, target, x0, steps, k) for k in range(cfg.chains)]
+    chains = sample_chains(
+        cfg.sampler, posterior_target(spec, priors), cfg.num_samples, x0,
+        1.0 / steps**2 if cfg.sampler == "hmc" else steps,
+        [RngState(cfg.seed, k) for k in range(cfg.chains)], T=cfg.temp,
+        burn_in=cfg.burn_in, thin=cfg.thin, eps=cfg.eps, n_leapfrog=cfg.leapfrog,
+    )
 
     names = param_names(spec)
     for k, chain in enumerate(chains):
@@ -520,6 +511,11 @@ def _parse_config_triple(text: str) -> tuple[int, int, int]:
     return triple
 
 
+def _vector(label: str):
+    """argparse type for a comma-separated float vector; ConfigError names the option."""
+    return lambda text: _parse_vector(text, label)
+
+
 def _default_seed() -> int:
     env = os.environ.get("EXTREMEFIT_SEED")
     if env is None:
@@ -541,7 +537,7 @@ def build_parser() -> _Parser:
         if with_input:
             p.add_argument("--input", required=True, help="input CSV with a 'value' column")
         p.add_argument("--dist", choices=["gev", "gpd"], default="gev")
-        p.add_argument("--config", default="0,0,0",
+        p.add_argument("--config", default="0,0,0", type=_parse_config_triple,
                        help="covariate counts a,b,c for location, scale, shape")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
@@ -549,8 +545,9 @@ def build_parser() -> _Parser:
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     add_common(p_fit)
-    p_fit.add_argument("--init", default=None, help="comma-separated starting vector")
-    p_fit.add_argument("--bounds", default=None, help="bounds JSON file")
+    p_fit.add_argument("--init", default=None, type=_vector("--init"),
+                       help="comma-separated starting vector")
+    p_fit.add_argument("--bounds", dest="bounds_path", default=None, help="bounds JSON file")
     p_fit.add_argument("--return-period", type=float, default=None)
 
     p_sample = sub.add_parser("sample", help="MCMC posterior sampling")
@@ -564,63 +561,38 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--chains", type=int, default=4)
     p_sample.add_argument("--temp", type=float, default=1.0,
                           help="temperature scaling of the posterior")
-    p_sample.add_argument("--init", default=None, help="comma-separated starting vector")
-    p_sample.add_argument("--steps", default=None,
+    p_sample.add_argument("--init", default=None, type=_vector("--init"),
+                          help="comma-separated starting vector")
+    p_sample.add_argument("--steps", default=None, type=_vector("--steps"),
                           help="per-parameter proposal widths / step sizes")
-    p_sample.add_argument("--priors", default=None, help="priors JSON file")
+    p_sample.add_argument("--priors", dest="priors_path", default=None,
+                          help="priors JSON file")
     p_sample.add_argument("--eps", type=float, default=0.2, help="hmc leapfrog step size")
     p_sample.add_argument("--leapfrog", type=int, default=10, help="hmc leapfrog steps")
     p_sample.add_argument("--return-period", type=float, default=None)
 
     p_sim = sub.add_parser("simulate", help="draw synthetic data")
     add_common(p_sim, with_input=False)
-    p_sim.add_argument("--true-params", required=True,
+    p_sim.add_argument("--true-params", required=True, type=_vector("--true-params"),
                        help="comma-separated packed parameter vector")
     p_sim.add_argument("--n", type=int, default=100, help="observations to draw")
-    p_sim.add_argument("--covariates", default=None,
+    p_sim.add_argument("--covariates", dest="covariates_path", default=None,
                        help="covariate CSV (default: 0..1 linear ramp)")
 
     p_lrt = sub.add_parser("lrt", help="likelihood-ratio test of nested configs")
     add_common(p_lrt)
-    p_lrt.add_argument("--null-config", required=True)
-    p_lrt.add_argument("--alt-config", required=True)
+    p_lrt.add_argument("--null-config", required=True, type=_parse_config_triple)
+    p_lrt.add_argument("--alt-config", required=True, type=_parse_config_triple)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.dist = args.dist
-    cfg.config = _parse_config_triple(args.config)
-    cfg.out = args.out
-    cfg.seed = args.seed if args.seed is not None else _default_seed()
-    cfg.input = getattr(args, "input", None)
-    if args.command in ("fit", "sample"):
-        if args.init is not None:
-            cfg.init = _parse_vector(args.init, "--init")
-        cfg.return_period = args.return_period
-    if args.command == "fit":
-        cfg.bounds_path = args.bounds
-    if args.command == "sample":
-        cfg.sampler = args.sampler
-        cfg.num_samples = args.num_samples
-        cfg.burn_in = args.burn_in
-        cfg.thin = args.thin
-        cfg.chains = args.chains
-        cfg.temp = args.temp
-        cfg.priors_path = args.priors
-        cfg.eps = args.eps
-        cfg.leapfrog = args.leapfrog
-        if args.steps is not None:
-            cfg.steps = _parse_vector(args.steps, "--steps")
-        if cfg.chains < 1:
-            raise ConfigError("--chains must be >= 1")
-    if args.command == "simulate":
-        cfg.true_params = _parse_vector(args.true_params, "--true-params")
-        cfg.n = args.n
-        cfg.covariates_path = args.covariates
-    if args.command == "lrt":
-        cfg.null_config = _parse_config_triple(args.null_config)
-        cfg.alt_config = _parse_config_triple(args.alt_config)
+    """RunConfig from a parsed namespace; options left unset keep RunConfig's defaults."""
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
+    if args.seed is None:
+        cfg.seed = _default_seed()
+    if cfg.command == "sample" and cfg.chains < 1:
+        raise ConfigError("--chains must be >= 1")
     return cfg
 
 

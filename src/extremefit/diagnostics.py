@@ -191,7 +191,9 @@ def dic(chains, spec: ModelSpec, priors=None) -> float:
     nll_bar = neg_log_likelihood(spec, theta_bar)
     if not math.isfinite(nll_bar):
         raise DomainError("nll is infinite at the posterior mean")
-    deviances = np.array([2.0 * neg_log_likelihood(spec, t) for t in pooled])
+    rows = max(1, 16384 // spec.n_obs)  # batches of at most 16384 values, or one row
+    deviances = 2.0 * np.concatenate([neg_log_likelihood(spec, pooled[i:i + rows])
+                                      for i in range(0, len(pooled), rows)])
     if not np.all(np.isfinite(deviances)):
         raise DomainError("nll is infinite at a retained sample")
     d_at_mean = 2.0 * nll_bar

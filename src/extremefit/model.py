@@ -14,6 +14,20 @@ when covariates enter, which guarantees positivity.
 By default the first ``a`` / ``b`` / ``c`` covariate columns feed each
 parameter (columns may be shared); explicit column indices can be given
 per parameter instead.
+
+Batch axis
+----------
+``realize``, ``neg_log_likelihood`` and ``grad_neg_log_likelihood`` take
+theta of shape (d,) or (K, d). A (d,) theta gives what it always gave: a
+float nll, or a (d,) gradient that raises DomainError where the nll is
+infinite. A (K, d) theta gives one result per row: a (K,) nll that reads
++inf for a row outside the support or with scale <= 0, and a (K, d)
+gradient with NaN rows there. Every row is bit-identical to the (d,) call
+on that row, whatever K: the design products are stacked matmuls
+``x @ v[..., None]`` (one matrix-vector product per row, measured to match a
+lone ``x @ v`` bit for bit, where a plain (K, d) gemm does not) and the sums
+run along the contiguous last axis. A non-finite theta entry raises
+DomainError in either form.
 """
 
 from __future__ import annotations
@@ -130,7 +144,7 @@ def param_names(spec: ModelSpec) -> list[str]:
 
 def _split(spec: ModelSpec, theta: np.ndarray):
     a, b, c = spec.config
-    return theta[: a + 1], theta[a + 1 : a + b + 2], theta[a + b + 2 :]
+    return theta[..., : a + 1], theta[..., a + 1 : a + b + 2], theta[..., a + b + 2 :]
 
 
 def validate_config(spec: ModelSpec) -> list[str]:
@@ -176,68 +190,95 @@ def validate_config(spec: ModelSpec) -> list[str]:
 def _check_theta(spec: ModelSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     d = param_dim(spec)
-    if theta.shape != (d,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != d:
         raise DomainError(f"theta must have length {d}, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise DomainError("theta entries must be finite")
     return theta
 
 
-def realize(spec: ModelSpec, theta) -> RealizedParams:
-    """Per-observation (loc, scale, shape) implied by the packed vector."""
-    theta = _check_theta(spec, theta)
+def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x @ v for a (p,) v, or for each row of a (K, p) v with the same bits."""
+    return x @ v if v.ndim == 1 else (x @ v[..., None])[..., 0]
+
+
+def _realize(spec: ModelSpec, theta: np.ndarray) -> RealizedParams:
+    """realize for a checked theta, without the scale check."""
     beta, gamma, delta = _split(spec, theta)
     x_loc, x_scale, x_shape = spec._designs
-    a, b, c = spec.config
-    loc = x_loc @ beta
-    if b == 0:
-        if gamma[0] <= 0:
-            raise DomainError(f"scale must be > 0 when stationary, got {gamma[0]}")
-        scale = np.full(spec.n_obs, gamma[0])
+    if spec.config[1] == 0:
+        scale = np.repeat(gamma, spec.n_obs, axis=-1)
     else:
         with np.errstate(over="ignore"):
-            scale = np.exp(x_scale @ gamma)
-    shape = x_shape @ delta
-    return RealizedParams(loc, scale, shape)
+            scale = np.exp(_matvec(x_scale, gamma))
+    return RealizedParams(_matvec(x_loc, beta), scale, _matvec(x_shape, delta))
 
 
-def neg_log_likelihood(spec: ModelSpec, theta) -> float:
-    """Joint negative log-likelihood; +inf outside the support, never NaN."""
+def realize(spec: ModelSpec, theta) -> RealizedParams:
+    """Per-observation (loc, scale, shape) implied by the packed vector.
+
+    A (K, d) theta gives (K, n) arrays. A stationary scale <= 0 in any row
+    raises DomainError.
+    """
     theta = _check_theta(spec, theta)
     a, b, _ = spec.config
-    if b == 0 and theta[a + 1] <= 0:
-        return np.inf
-    loc, scale, shape = realize(spec, theta)
-    if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(shape))):
-        return np.inf
-    if not np.all(np.isfinite(scale)) or np.any(scale <= 0):
-        return np.inf
-    lp = logpdf_values(spec.family, spec.data, loc, scale, shape)
-    total = lp.sum()
-    if not np.isfinite(total):
-        return np.inf
-    return float(-total)
+    if b == 0 and np.any(theta[..., a + 1] <= 0):
+        raise DomainError(f"scale must be > 0 when stationary, got {theta[..., a + 1]}")
+    return _realize(spec, theta)
+
+
+def _checked_params(spec: ModelSpec, theta: np.ndarray):
+    """Realized parameters of a checked theta and the mask of rows with a finite scale > 0.
+
+    The other rows get the placeholder scale 1, so the kernel does not raise
+    on them, and callers overwrite their results. A non-finite loc or shape
+    needs no check here: the kernel turns it into a non-finite value, which
+    the callers' final finiteness check catches.
+    """
+    loc, scale, shape = _realize(spec, theta)
+    ok = ((scale > 0) & (scale < np.inf)).all(axis=-1)
+    if not ok.all():
+        scale[~ok] = 1.0
+    return RealizedParams(loc, scale, shape), ok
+
+
+def neg_log_likelihood(spec: ModelSpec, theta):
+    """Joint negative log-likelihood; +inf outside the support, never NaN.
+
+    A (K, d) theta gives a (K,) array, one nll per row.
+    """
+    params, ok = _checked_params(spec, _check_theta(spec, theta))
+    total = logpdf_values(spec.family, spec.data, *params).sum(axis=-1)
+    nll = np.where(ok & np.isfinite(total), -total, np.inf)
+    return float(nll) if nll.ndim == 0 else nll
 
 
 def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
     """Analytic gradient of the nll via the chain rule over the links.
 
-    Requires a finite nll at theta: the kernel's NaN or inf at a point
-    outside the support raises DomainError. For the log-linear scale the
-    inner derivative multiplies by sigma_t; identity links pass covariates
-    straight through.
+    Requires a finite nll at theta: a (d,) theta where the kernel gives a
+    non-finite entry (outside the support) or where the scale is not > 0
+    raises DomainError; a (K, d) theta gets NaN rows there. For the
+    log-linear scale the inner derivative multiplies by sigma_t; identity
+    links pass covariates straight through.
     """
-    loc, scale, shape = realize(spec, theta)
+    theta = _check_theta(spec, theta)
+    if theta.ndim == 1:  # the kernel raises DomainError unless the scale is finite and > 0
+        (loc, scale, shape), ok = _realize(spec, theta), True
+    else:
+        (loc, scale, shape), ok = _checked_params(spec, theta)
     gmu, gsig, gxi = grad_logpdf_values(spec.family, spec.data, loc, scale, shape)
     x_loc, x_scale, x_shape = spec._designs
-    _, b, _ = spec.config
-    g_beta = -(x_loc.T @ gmu)
-    if b == 0:
-        g_gamma = np.array([-(gsig.sum())])
+    if spec.config[1] == 0:
+        g_gamma = gsig.sum(axis=-1, keepdims=True)
     else:
-        g_gamma = -(x_scale.T @ (gsig * scale))
-    g_delta = -(x_shape.T @ gxi)
-    grad = np.concatenate([g_beta, g_gamma, g_delta])
-    if not np.all(np.isfinite(grad)):
-        raise DomainError("nll is infinite at theta; gradient undefined")
+        g_gamma = _matvec(x_scale.T, gsig * scale)
+    grad = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
+                           axis=-1)
+    ok = ok & np.isfinite(grad).all(axis=-1)
+    if grad.ndim == 1:
+        if not ok:
+            raise DomainError("nll is infinite at theta; gradient undefined")
+    elif not ok.all():
+        grad[~ok] = np.nan
     return grad

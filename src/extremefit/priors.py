@@ -55,7 +55,8 @@ class PriorSet:
 
     @cached_property
     def _packed(self):
-        is_normal = np.array([c.kind == "normal" for c in self.components])
+        """Normal columns with their means, sds and log-density constants, then
+        uniform columns with their bounds and the sum of their constants."""
         a = np.array([c.a for c in self.components])
         b = np.array([c.b for c in self.components])
         const = np.array(
@@ -66,7 +67,10 @@ class PriorSet:
                 for c in self.components
             ]
         )
-        return is_normal, a, b, const
+        is_normal = np.array([c.kind == "normal" for c in self.components], dtype=bool)
+        normal, unif = np.flatnonzero(is_normal), np.flatnonzero(~is_normal)
+        return (normal, a[normal], b[normal], const[normal],
+                unif, a[unif], b[unif], float(np.sum(const[unif])))
 
 
 def default_priors(spec: ModelSpec) -> PriorSet:
@@ -103,39 +107,52 @@ def default_priors(spec: ModelSpec) -> PriorSet:
 
 def _check_len(priors: PriorSet, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (len(priors),):
-        raise DomainError(
-            f"theta length {theta.size} does not match prior count {len(priors)}"
-        )
+    if theta.ndim not in (1, 2) or theta.shape[-1] != len(priors):
+        length = theta.shape[-1] if theta.ndim else theta.size
+        raise DomainError(f"theta length {length} does not match prior count {len(priors)}")
     return theta
 
 
-def log_prior(priors: PriorSet, theta) -> float:
-    """Sum of component log-densities; -inf outside any uniform support."""
+def _in_support(x, lo, hi):
+    """Rows of x (the uniform columns of theta) inside every [lo, hi]."""
+    return ((x >= lo) & (x <= hi)).all(axis=-1)
+
+
+def log_prior(priors: PriorSet, theta):
+    """Sum of component log-densities; -inf outside any uniform support.
+
+    A (K, d) theta gives a (K,) array, each row bit-identical to the (d,)
+    call on it.
+    """
     theta = _check_len(priors, theta)
-    is_normal, a, b, const = priors._packed
+    normal, mean, sd, const, unif, lo, hi, unif_const = priors._packed
     out = 0.0
-    norm = is_normal
-    if norm.any():
-        resid = (theta[norm] - a[norm]) / b[norm]
-        out += float(np.sum(const[norm] - 0.5 * resid**2))
-    unif = ~norm
-    if unif.any():
-        inside = (theta[unif] >= a[unif]) & (theta[unif] <= b[unif])
-        if not inside.all():
-            return -math.inf
-        out += float(np.sum(const[unif]))
-    return out
+    if normal.size:
+        resid = (theta[..., normal] - mean) / sd
+        out += (const - 0.5 * resid**2).sum(axis=-1)
+    if unif.size:
+        out = np.where(_in_support(theta[..., unif], lo, hi), out + unif_const, -math.inf)
+    return float(out) if theta.ndim == 1 else out
 
 
 def grad_log_prior(priors: PriorSet, theta) -> np.ndarray:
-    """Gradient of log_prior; requires a finite log_prior at theta."""
+    """Gradient of log_prior; requires theta finite and inside every uniform support.
+
+    A (d,) theta that is not raises DomainError; a (K, d) theta gets NaN
+    rows there.
+    """
     theta = _check_len(priors, theta)
-    if not math.isfinite(log_prior(priors, theta)):
-        raise DomainError("log prior is -inf at theta; gradient undefined")
-    is_normal, a, b, _ = priors._packed
+    normal, mean, sd, _, unif, lo, hi, _ = priors._packed
     grad = np.zeros_like(theta)
-    grad[is_normal] = -(theta[is_normal] - a[is_normal]) / b[is_normal] ** 2
+    grad[..., normal] = -(theta[..., normal] - mean) / sd**2
+    ok = np.isfinite(theta).all(axis=-1)
+    if unif.size:
+        ok = ok & _in_support(theta[..., unif], lo, hi)
+    if grad.ndim == 1:
+        if not ok:
+            raise DomainError("log prior is -inf at theta; gradient undefined")
+    elif not ok.all():
+        grad[~ok] = np.nan
     return grad
 
 

@@ -70,3 +70,28 @@ def run_cli(args, cwd, env_extra=None):
         [sys.executable, "-m", "extremefit", *args],
         capture_output=True, text=True, cwd=cwd, env=env,
     )
+
+
+ROW_KINDS = ("inside", "outside", "zero_scale", "bad_scale")
+
+
+def batch_rows(spec: ModelSpec, theta, kinds, seed: int) -> np.ndarray:
+    """One parameter row per kind, jittered around theta.
+
+    "inside" keeps the jittered row. "outside" puts the location 100 above
+    every observation with shape 0.5, so the data lie below the support.
+    "zero_scale" and "bad_scale" make the realized scale 0 and negative (a
+    raw scale) or 0 and +inf (a log-linear scale whose exp under/overflows).
+    """
+    a, b, _ = spec.config
+    rows = theta + 0.01 * RngState(seed, 0).normals(len(kinds) * theta.size).reshape(
+        len(kinds), theta.size)
+    for row, kind in zip(rows, kinds):
+        if kind == "outside":
+            row[0] = spec.data.max() + 100.0
+            row[a + b + 2] = 0.5
+        elif kind == "zero_scale":
+            row[a + 1] = 0.0 if b == 0 else -800.0
+        elif kind == "bad_scale":
+            row[a + 1] = -abs(row[a + 1]) if b == 0 else 800.0
+    return rows

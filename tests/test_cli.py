@@ -236,6 +236,21 @@ class TestSample:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
 
+    @pytest.mark.parametrize("sampler", ["rw", "mala", "hmc"])
+    def test_chain_zero_same_alone_and_in_lockstep(self, tmp_path, sim_csv, sampler):
+        traces = []
+        for chains in (1, 4):
+            out = f"{sampler}_{chains}"
+            res = run_cli(
+                ["sample", "--input", str(sim_csv), "--config", "1,0,0",
+                 "--sampler", sampler, "--num-samples", "20" if sampler == "hmc" else "150",
+                 "--chains", str(chains), "--seed", "5", "--out", out],
+                tmp_path,
+            )
+            assert res.returncode == EXIT_OK, res.stderr
+            traces.append((tmp_path / out / "trace_0.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_env_seed_fallback(self, tmp_path, sim_csv):
         args = ["sample", "--input", str(sim_csv), "--config", "1,0,0",
                 "--num-samples", "200", "--chains", "1"]

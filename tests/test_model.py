@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremefit import (
     DomainError,
@@ -18,7 +20,7 @@ from extremefit import (
     realize,
     validate_config,
 )
-from _cases import random_model_case
+from _cases import ROW_KINDS, batch_rows, random_model_case
 
 GEV = EvdFamily.GEV
 
@@ -215,3 +217,47 @@ class TestValidateConfig:
     def test_explicit_column_index_out_of_range(self):
         s = _spec(np.ones(4), np.ones((4, 2)), (1, 0, 0), columns=((5,), (), ()))
         assert any("outside" in v for v in validate_config(s))
+
+
+def _grad_or_nan(spec, theta):
+    try:
+        return grad_neg_log_likelihood(spec, theta)
+    except DomainError:
+        return np.full(theta.size, np.nan)
+
+
+class TestBatchAxis:
+    """A (K, d) theta gives per-row results bit-identical to (d,) calls."""
+
+    # cases 0-5: GEV and GPD at configs (0,0,0), (1,0,0) and (1,1,1)
+    @given(
+        index=st.integers(0, 5),
+        kinds=st.sampled_from([1, 3, 4]).flatmap(
+            lambda k: st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_single_calls(self, index, kinds, seed):
+        spec, theta = random_model_case(index)
+        rows = batch_rows(spec, theta, kinds, seed)
+        nll = neg_log_likelihood(spec, rows)
+        grad = grad_neg_log_likelihood(spec, rows)
+        assert nll.shape == (len(kinds),) and grad.shape == rows.shape
+        assert np.array_equal(nll, [neg_log_likelihood(spec, r) for r in rows])
+        assert np.array_equal(grad, [_grad_or_nan(spec, r) for r in rows], equal_nan=True)
+        for kind, value, g in zip(kinds, nll, grad):
+            if kind != "inside":
+                assert value == math.inf and np.all(np.isnan(g))
+
+    def test_realize_rows(self):
+        spec, theta = random_model_case(4)  # GEV (1, 1, 1)
+        rows = batch_rows(spec, theta, ["inside"] * 3, 5)
+        for part, single in zip(realize(spec, rows), zip(*(realize(spec, r) for r in rows))):
+            assert np.array_equal(part, np.array(single))
+
+    def test_nonfinite_row_raises(self):
+        spec, theta = random_model_case(0)
+        rows = np.vstack([theta, theta])
+        rows[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            neg_log_likelihood(spec, rows)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremefit import (
     DomainError,
@@ -18,10 +20,12 @@ from extremefit import (
     default_priors,
     grad_log_prior,
     log_prior,
+    posterior_target,
     sample,
 )
 from extremefit.optimize import default_start
 from extremefit.priors import load_priors, priors_from_json, priors_to_json
+from _cases import ROW_KINDS, batch_rows, random_model_case
 
 
 def _gumbel_spec(config=(0, 0, 0), cov=None, n=500):
@@ -167,3 +171,52 @@ class TestPriorJson:
             priors_from_json([{"kind": "normal", "a": 0.0}])
         with pytest.raises(DomainError):
             priors_from_json({"kind": "normal"})
+
+
+def _or_nan(fn, priors, theta):
+    try:
+        return fn(priors, theta)
+    except DomainError:
+        return np.full(theta.size, np.nan)
+
+
+class TestBatchAxis:
+    """log_prior, its gradient and the posterior target: (K, d) rows equal (d,) calls."""
+
+    @given(
+        index=st.integers(0, 5),
+        kinds=st.sampled_from([1, 3, 4]).flatmap(
+            lambda k: st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_single_calls(self, index, kinds, seed):
+        spec, theta = random_model_case(index)
+        rows = batch_rows(spec, theta, kinds, seed)
+        normal = default_priors(spec)
+        comps = list(normal.components)
+        a, b, _ = spec.config
+        comps[a + b + 2] = PriorComponent("uniform", -0.45, 0.45)  # "outside" rows leave it
+        for priors in (normal, PriorSet(tuple(comps))):
+            assert np.array_equal(log_prior(priors, rows), [log_prior(priors, r) for r in rows])
+            assert np.array_equal(grad_log_prior(priors, rows),
+                                  [_or_nan(grad_log_prior, priors, r) for r in rows],
+                                  equal_nan=True)
+            target = posterior_target(spec, priors)
+            lp = target.log_post(rows)
+            assert np.array_equal(lp, [target.log_post(r) for r in rows])
+            assert np.array_equal(target.grad_log_post(rows),
+                                  [target.grad_log_post(r) for r in rows], equal_nan=True)
+            for kind, value in zip(kinds, lp):
+                if kind != "inside":
+                    assert value == -math.inf
+
+    def test_gradient_guard_on_uniform_support(self):
+        priors = PriorSet((PriorComponent("normal", 0.0, 1.0),
+                           PriorComponent("uniform", -1.0, 1.0)))
+        with pytest.raises(DomainError):
+            grad_log_prior(priors, [0.0, 2.0])
+        with pytest.raises(DomainError):
+            grad_log_prior(priors, [math.nan, 0.0])
+        grad = grad_log_prior(priors, np.array([[0.5, 0.0], [0.0, 2.0]]))
+        assert np.array_equal(grad[0], [-0.5, 0.0]) and np.all(np.isnan(grad[1]))

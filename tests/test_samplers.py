@@ -22,6 +22,7 @@ from extremefit import (
     mh_random_walk,
     posterior_target,
     sample,
+    sample_chains,
 )
 
 ACC_DLOGPOST_MINUS2_T1 = 0.1353352832366127  # exp(-2)
@@ -199,6 +200,19 @@ class TestMala:
         assert np.all(np.abs(chain.samples) <= 1.0)
         assert chain.acceptance_rate < 1.0
 
+    def test_gradient_only_where_log_post_finite(self):
+        # a scalar user target whose gradient is undefined outside |theta| <= 1
+        def lp(th):
+            return -0.5 * float(th @ th) if abs(th[0]) <= 1.0 else -math.inf
+
+        def grad(th):
+            assert abs(th[0]) <= 1.0
+            return -th
+
+        chain = mala(Target(log_post=lp, grad_log_post=grad), 300, [0.0], [2.0],
+                     rng=RngState(4, 0))
+        assert 0.0 < chain.acceptance_rate < 1.0
+
 
 class TestLeapfrog:
     def test_reversibility(self):
@@ -331,3 +345,101 @@ class TestPosteriorTarget:
         bad = np.array([0.0, 1.0, -0.6])  # upper endpoint below the data
         assert target.log_post(bad) == -math.inf
         assert np.all(np.isnan(target.grad_log_post(bad)))
+
+
+def edge_target():
+    """Standard normal whose gradient is NaN beyond |theta_i| = 1.5; takes (d,) or (K, d)."""
+
+    def grad(th):
+        g = -np.array(th, dtype=float)
+        g[np.abs(th).max(axis=-1) > 1.5] = np.nan
+        return g
+
+    return Target(log_post=lambda th: -0.5 * (th * th).sum(axis=-1), grad_log_post=grad)
+
+
+class TestLockstep:
+    """sample_chains runs K chains in lockstep; chain k equals a lone chain k bit for bit."""
+
+    @staticmethod
+    def _posterior():
+        data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(30, 0), size=60)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        return posterior_target(spec, default_priors(spec)), np.array([10.0, 2.0, 0.1])
+
+    @pytest.mark.parametrize("temp, thin", [(1.0, 1), (2.5, 3)])
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_four_chains_match_lone_chains(self, kind, temp, thin):
+        target, x0 = self._posterior()
+        widths = np.array([0.3, 0.25, 0.08])
+        scales = {"rw": widths, "mala": 0.5 * widths, "hmc": 1.0 / widths**2}[kind]
+        n = 30 if kind == "hmc" else 150
+        lock = sample_chains(kind, target, n, x0, scales, [RngState(7, k) for k in range(4)],
+                             T=temp, thin=thin, eps=0.3, n_leapfrog=6)
+        for k, chain in enumerate(lock):
+            rng = RngState(7, k)
+            if kind == "rw":
+                alone = mh_random_walk(target, n, x0, scales, T=temp, rng=rng, thin=thin)
+            elif kind == "mala":
+                alone = mala(target, n, x0, scales, T=temp, rng=rng, thin=thin)
+            else:
+                alone = hmc(target, n, x0, 0.3, 6, mass_diag=scales, T=temp, rng=rng,
+                            thin=thin)
+            assert np.array_equal(chain.samples, alone.samples)
+            assert chain.acceptance_rate == alone.acceptance_rate
+            assert (chain.sampler_tag, chain.seed, chain.stream_id) == (kind, 7, k)
+            assert (chain.burn_in, chain.thin, chain.temperature) == (n // 4, thin, temp)
+
+    def test_hmc_diverging_chain_does_not_disturb_others(self):
+        target = edge_target()
+        calls = []
+        grad = target.grad_log_post
+
+        def recording_grad(th):
+            g = grad(th)
+            if np.ndim(th) == 2:
+                calls.append(np.isnan(g).all(axis=-1))
+            return g
+
+        target.grad_log_post = recording_grad
+        lock = sample_chains("hmc", target, 200, [0.0, 0.0], [1.0, 1.0],
+                             [RngState(11, k) for k in range(4)], eps=0.9, n_leapfrog=8)
+        # some call had a diverging row next to rows that kept integrating
+        assert any(bad.any() and not bad.all() for bad in calls)
+        target.grad_log_post = grad
+        for k, chain in enumerate(lock):
+            alone = hmc(target, 200, [0.0, 0.0], 0.9, 8, mass_diag=[1.0, 1.0],
+                        rng=RngState(11, k))
+            assert np.array_equal(chain.samples, alone.samples)
+            assert chain.acceptance_rate == alone.acceptance_rate
+            assert 0.0 < chain.acceptance_rate < 1.0
+
+    def test_leapfrog_rows_freeze_on_divergence(self):
+        target = edge_target()
+        q0 = np.array([[0.0, 0.0], [1.2, 0.0], [0.3, -0.2]])
+        p0 = np.array([[0.5, 0.1], [2.0, 0.0], [-0.4, 0.3]])
+        q, p, diverged = leapfrog(target, q0, p0, 0.2, 10, [1.0, 1.0])
+        assert diverged.tolist() == [False, True, False]
+        for k in range(3):
+            q1, p1, d1 = leapfrog(target, q0[k], p0[k], 0.2, 10, [1.0, 1.0])
+            assert d1 == diverged[k]
+            assert np.array_equal(q1, q[k]) and np.array_equal(p1, p[k])
+
+    def test_draw_order_matches_reference_loop(self):
+        """Per iteration a chain draws its d normals, then one uniform."""
+        target = std_normal_target()
+        rng = RngState(3, 1)
+        theta, lp, ref = np.zeros(2), 0.0, []
+        for _ in range(50):
+            prop = theta + 0.8 * rng.normals(2)
+            lp_prop = target.log_post(prop)
+            if math.log(rng.uniform()) < lp_prop - lp:
+                theta, lp = prop, lp_prop
+            ref.append(theta)
+        chain = mh_random_walk(target, 50, [0.0, 0.0], [0.8, 0.8], rng=RngState(3, 1),
+                               burn_in=0)
+        assert np.array_equal(chain.samples, ref)
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError):
+            sample_chains("nuts", std_normal_target(), 10, [0.0], [1.0], [RngState(0, 0)])
