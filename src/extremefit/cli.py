@@ -14,8 +14,10 @@ are emitted as one JSON line on stderr. All floats are serialized with 17
 significant digits, so reruns with the same seed are byte-identical.
 
 GPD data are treated as pre-computed exceedances: the location (threshold)
-components are pinned to 0 by default and only move if an explicit priors
-file (``sample --priors``) or bounds file (``fit --bounds``) says otherwise.
+components are pinned to 0 by default (``infer_bounds`` pins them, and the
+default priors hold them within +-1e-8 of the pin) and only move if an
+explicit priors file (``sample --priors``) or bounds file (``fit --bounds``)
+says otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-_PIN = 1e-8  # half-width of the pinned-at-zero interval for GPD location
+_PIN = 1e-8  # half-width of the uniform default prior around a pinned coordinate
 
 
 class ConfigError(Exception):
@@ -224,27 +226,6 @@ def _check_len(values, dim: int, label: str) -> np.ndarray:
     return arr
 
 
-def _gpd_pinned(spec: ModelSpec) -> bool:
-    return spec.family is EvdFamily.GPD
-
-
-def _pin_location_bounds(spec: ModelSpec, bounds: Bounds) -> Bounds:
-    a = spec.config[0]
-    lo = bounds.lo.copy()
-    hi = bounds.hi.copy()
-    lo[: a + 1] = -_PIN
-    hi[: a + 1] = _PIN
-    return Bounds(lo, hi)
-
-
-def _pin_location_priors(spec: ModelSpec, priors: PriorSet) -> PriorSet:
-    a = spec.config[0]
-    comps = list(priors.components)
-    for i in range(a + 1):
-        comps[i] = PriorComponent("uniform", -_PIN, _PIN)
-    return PriorSet(tuple(comps))
-
-
 def _resolve_bounds(cfg: RunConfig, spec: ModelSpec) -> Bounds:
     if cfg.bounds_path:
         try:
@@ -256,10 +237,7 @@ def _resolve_bounds(cfg: RunConfig, spec: ModelSpec) -> Bounds:
                 f"bounds have {bounds.lo.size} entries, model needs {param_dim(spec)}"
             )
         return bounds
-    bounds = infer_bounds(spec)
-    if _gpd_pinned(spec):
-        bounds = _pin_location_bounds(spec, bounds)
-    return bounds
+    return infer_bounds(spec)
 
 
 def _resolve_priors(cfg: RunConfig, spec: ModelSpec) -> PriorSet:
@@ -273,19 +251,17 @@ def _resolve_priors(cfg: RunConfig, spec: ModelSpec) -> PriorSet:
                 f"priors file has {len(priors)} entries, model needs {param_dim(spec)}"
             )
         return priors
-    priors = default_priors(spec)
-    if _gpd_pinned(spec):
-        priors = _pin_location_priors(spec, priors)
-    return priors
+    comps = list(default_priors(spec).components)
+    pins = infer_bounds(spec)
+    for i in np.flatnonzero(pins.pinned):
+        comps[i] = PriorComponent("uniform", pins.lo[i] - _PIN, pins.hi[i] + _PIN)
+    return PriorSet(tuple(comps))
 
 
 def _resolve_init(cfg: RunConfig, spec: ModelSpec) -> np.ndarray:
     if cfg.init is not None:
         return _check_len(cfg.init, param_dim(spec), "--init")
-    start = default_start(spec)
-    if _gpd_pinned(spec):
-        start[: spec.config[0] + 1] = 0.0
-    return start
+    return default_start(spec)
 
 
 def _prior_scales(priors: PriorSet) -> np.ndarray:
@@ -303,9 +279,9 @@ def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
     """Per-parameter proposal scales: --steps, else MLE standard errors.
 
     When no explicit vector is given, a quick maximum-likelihood fit
-    provides curvature-based scales (capped by the prior scales, which
-    keeps GPD-pinned components pinned); the prior scales shrunk by 20x
-    are the fallback when the Hessian is unusable.
+    provides curvature-based scales, capped by the prior scales; a
+    coordinate that the bounds pin moves at its prior's scale. The prior
+    scales shrunk by 20x are the fallback when the Hessian is unusable.
     """
     dim = param_dim(spec)
     if cfg.steps is not None:
@@ -315,7 +291,8 @@ def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
     try:
         fit = fit_mle(spec, x0, bounds)
         if fit.std_errors is not None:
-            scales = np.minimum(fit.std_errors, prior_scales)
+            scales = np.where(bounds.pinned, prior_scales,
+                              np.minimum(fit.std_errors, prior_scales))
     except ExtremeFitError:
         pass
     scales = np.maximum(scales, 1e-12)

@@ -218,12 +218,35 @@ def _nested(null: ModelSpec, alt: ModelSpec) -> list[str]:
     return problems
 
 
+def _warm_start(spec_null: ModelSpec, spec_alt: ModelSpec, theta_null) -> np.ndarray:
+    """theta_null as a point of the nesting alternative, where it gives the same model.
+
+    The alternative's extra slopes are 0, and a stationary null scale becomes
+    its log when the alternative's scale is log-linear.
+    """
+    out, start = [], 0
+    for which in range(3):
+        cols = spec_null.columns_for(which)
+        block = theta_null[start:start + len(cols) + 1]
+        start += len(cols) + 1
+        intercept = block[0]
+        if which == 1 and spec_null.config[1] == 0 and spec_alt.config[1] > 0:
+            intercept = math.log(intercept)
+        slopes = dict(zip(cols, block[1:]))
+        out += [intercept] + [slopes.get(col, 0.0) for col in spec_alt.columns_for(which)]
+    return np.array(out, dtype=float)
+
+
 def lrt(spec_null: ModelSpec, spec_alt: ModelSpec) -> LrtResult:
     """Likelihood-ratio test of nested configurations.
 
-    Fits both models by maximum likelihood; the statistic
-    2 (nll_null - nll_alt) is clamped at zero and compared against
-    chi-squared with df equal to the parameter-count difference.
+    Fits both models by maximum likelihood (fit_mle in the inferred
+    bounds); the statistic 2 (nll_null - nll_alt) is clamped at zero and
+    compared against chi-squared with df equal to the parameter-count
+    difference. The alternative's fit starts at the null's theta_hat (see
+    _warm_start), and fit_mle never increases the nll from its start, so
+    nll_alt <= nll_null up to the rounding of exp(log scale), unless the
+    alternative's bounds move that start.
     """
     problems = _nested(spec_null, spec_alt)
     if problems:
@@ -232,9 +255,9 @@ def lrt(spec_null: ModelSpec, spec_alt: ModelSpec) -> LrtResult:
     if df == 0:
         raise DomainError("models have equal dimension; likelihood-ratio df is 0")
     fit_null = fit_mle(spec_null)
-    fit_alt = fit_mle(spec_alt)
     if not fit_null.converged:
         raise FitError("null-model fit did not converge")
+    fit_alt = fit_mle(spec_alt, _warm_start(spec_null, spec_alt, fit_null.theta_hat))
     if not fit_alt.converged:
         raise FitError("alternative-model fit did not converge")
     stat = max(0.0, 2.0 * (fit_null.nll_min - fit_alt.nll_min))

@@ -40,10 +40,12 @@ import numpy as np
 
 from .distributions import (
     EvdFamily,
+    ParamTriple,
     grad_logpdf_values,
     logpdf_values,
 )
 from .errors import DomainError
+from .lmoments import stationary_estimate
 
 
 class RealizedParams(NamedTuple):
@@ -105,6 +107,14 @@ class ModelSpec:
         if self.covariate_columns is not None:
             return self.covariate_columns[which]
         return tuple(range(count))
+
+    @cached_property
+    def lmoment_estimate(self) -> ParamTriple:
+        """The stationary L-moment fit of the data, computed once per spec.
+
+        Bounds, start and default priors all derive from it.
+        """
+        return stationary_estimate(self.family, self.data)
 
     @cached_property
     def _designs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

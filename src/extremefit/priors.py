@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .lmoments import stationary_estimate
 from .model import ModelSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -80,7 +79,7 @@ def default_priors(spec: ModelSpec) -> PriorSet:
     covariate slopes get Normal(0, 1/std(column)) so that a standardized
     covariate has a unit-scale slope prior.
     """
-    est = stationary_estimate(spec.family, spec.data)
+    est = spec.lmoment_estimate
     a, b, c = spec.config
     comps: list[PriorComponent] = []
 

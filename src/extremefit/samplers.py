@@ -131,12 +131,15 @@ def _hmc(target, temp, mass, theta, lp, g, eps, n_leapfrog):
 
     def step(z):
         p0 = sqrt_mass * z
-        q_new, p_new, diverged = leapfrog(target, theta, p0, eps, n_leapfrog, mass, T=temp)
+        q_new, p_new = theta.copy(), p0.copy()
+        # g holds each row's gradient from its accepted trajectory's end (or the start)
+        diverged, g_new = _integrate(target.grad_log_post, q_new, p_new, g, eps, n_leapfrog,
+                                     inv_mass, temp)
         lp_new = _on_rows(target.log_post, q_new, ~diverged, -math.inf, len(q_new))
         with np.errstate(over="ignore", invalid="ignore"):  # h1 is +inf or NaN if diverged
             h0 = -lp / temp + 0.5 * (p0 * p0 * inv_mass).sum(axis=-1)
             h1 = -lp_new / temp + 0.5 * (p_new * p_new * inv_mass).sum(axis=-1)
-            return h0 - h1, ((theta, q_new), (lp, lp_new))
+            return h0 - h1, ((theta, q_new), (lp, lp_new), (g, g_new))
     return step
 
 
@@ -179,7 +182,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     lp = np.array(target.log_post(theta), dtype=float)
     if not np.all(np.isfinite(lp)):
         raise InitializationError("log-posterior is not finite at the initial point")
-    g = None if kind == "rw" else target.grad_log_post(theta)
+    g = None if kind == "rw" else np.array(target.grad_log_post(theta), dtype=float)
     if g is not None and not np.all(np.isfinite(g)):
         raise InitializationError("gradient is not finite at the initial point")
     kernel = {"rw": _rw, "mala": _mala, "hmc": _hmc}[kind]
@@ -246,9 +249,20 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
     mass = np.broadcast_to(np.asarray(mass_diag, dtype=float), q.shape[-1:])
     if np.any(mass <= 0):
         raise DomainError("mass_diag entries must be > 0")
-    inv_mass = 1.0 / mass
     grad = target.grad_log_post if np.ndim(theta) == 2 else _rowwise(target.grad_log_post)
-    diverged, g = np.zeros(len(q), dtype=bool), np.empty_like(q)
+    diverged, _ = _integrate(grad, q, p, grad(q), eps, n_steps, 1.0 / mass, temp)
+    return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
+
+
+def _integrate(grad, q, p, g_start, eps, n_steps, inv_mass, temp):
+    """Leapfrog on (K, d) q and p in place, from the log-posterior gradient g_start at q.
+
+    Returns the (K,) divergence mask and the log-posterior gradient at the
+    end (NaN or stale on diverged rows). A row whose gradient or position
+    turns non-finite freezes there while the other rows keep integrating.
+    """
+    diverged, g_log = np.zeros(len(q), dtype=bool), np.array(g_start, dtype=float)
+    g = -g_log / temp  # the potential's gradient
     rows = slice(None)  # the rows still integrating; an index array after a divergence
 
     def keep(ok):  # freeze the moving rows where ok is False; returns whether any still moves
@@ -262,10 +276,11 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
 
     def grad_u():
         g_rows = grad(q[rows])
+        g_log[rows] = g_rows
         g[rows] = -g_rows / temp
         keep(np.isfinite(g_rows).all(axis=-1))
 
-    grad_u()
+    keep(np.isfinite(g_log).all(axis=-1))
     p[rows] -= 0.5 * eps * g[rows]
     for step in range(n_steps):
         q[rows] += eps * inv_mass * p[rows]
@@ -274,7 +289,7 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
         if step < n_steps - 1:
             p[rows] -= eps * g[rows]
     p[rows] -= 0.5 * eps * g[rows]
-    return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
+    return diverged, g_log
 
 
 def hmc(target: Target, num_samples: int, initial_params, eps: float,

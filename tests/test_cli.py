@@ -322,6 +322,27 @@ class TestLrtCommand:
         assert out["df"] == 1
         assert out["statistic"] >= 0.0
 
+    def test_gpd_threshold_pinned(self, tmp_path):
+        # threshold-5 exceedances: a free threshold would move to min(data) and fit far better
+        assert main(["simulate", "--dist", "gpd", "--config", "0,1,0",
+                     "--true-params", "5,0,0.3,0.1", "--n", "300", "--seed", "6",
+                     "--out", str(tmp_path / "g")]) == EXIT_OK
+        csv_path = str(tmp_path / "g" / "simulated.csv")
+        nll = {}
+        for cfg in ("0,0,0", "0,1,0"):
+            out = tmp_path / f"fit{cfg}"
+            assert main(["fit", "--input", csv_path, "--dist", "gpd", "--config", cfg,
+                         "--out", str(out)]) == EXIT_OK
+            fit = json.loads((out / "result.json").read_text())
+            assert fit["theta_hat"][0] == 0.0
+            nll[cfg] = fit["nll"]
+        assert main(["lrt", "--input", csv_path, "--dist", "gpd", "--null-config", "0,0,0",
+                     "--alt-config", "0,1,0", "--out", str(tmp_path / "l")]) == EXIT_OK
+        res = json.loads((tmp_path / "l" / "lrt.json").read_text())
+        assert res["nll_null"] == nll["0,0,0"]
+        assert res["nll_alt"] == pytest.approx(nll["0,1,0"], abs=1e-6)
+        assert res["nll_alt"] <= res["nll_null"]
+
     def test_equal_configs_is_numerical_error(self, tmp_path, sim_csv):
         res = run_cli(
             ["lrt", "--input", str(sim_csv), "--null-config", "0,0,0",

@@ -17,16 +17,18 @@ from extremefit import (
     fit_mle,
     lrt,
     mh_random_walk,
+    neg_log_likelihood,
     posterior_summary,
     posterior_target,
     return_levels,
     sample,
     split_rhat,
 )
-from extremefit.diagnostics import DegenerateChainWarning
+from extremefit.diagnostics import DegenerateChainWarning, _warm_start
 from _cases import simulate_from
 
 GEV = EvdFamily.GEV
+GPD = EvdFamily.GPD
 
 
 def _ar1(n, phi, seed):
@@ -239,6 +241,30 @@ class TestLrt:
         assert res.df == 1
         assert 0.0 <= res.p_value <= 1.0
         assert res.nll_alt <= res.nll_null + 1e-9
+
+    @pytest.mark.parametrize("seed, threshold", [(1, 5.0), (6, 5.0), (17, 0.0)])
+    def test_gpd_scale_trend_not_above_null(self, seed, threshold):
+        # threshold 5 data fitted with the threshold that infer_bounds pins at 0
+        n = 300
+        cov = np.linspace(0, 1, n).reshape(-1, 1)
+        shell = ModelSpec(data=np.zeros(n), covariates=cov, config=(0, 1, 0), family=GPD)
+        data = simulate_from(shell, np.array([threshold, 0.0, 0.3, 0.1]), seed)
+        specs = [ModelSpec(data=data, covariates=cov, config=cfg, family=GPD)
+                 for cfg in ((0, 0, 0), (0, 1, 0))]
+        res = lrt(*specs)
+        assert res.nll_alt <= res.nll_null
+
+    def test_warm_start_is_the_null_model(self):
+        null, _ = self._nested_pair()
+        alt = ModelSpec(data=null.data, covariates=null.covariates, config=(1, 1, 0),
+                        family=GEV)
+        theta = fit_mle(null).theta_hat
+        start = _warm_start(null, alt, theta)
+        assert start.tolist() == [theta[0], 0.0, math.log(theta[1]), 0.0, theta[2]]
+        assert neg_log_likelihood(alt, start) == pytest.approx(
+            neg_log_likelihood(null, theta), rel=1e-12)
+        res = lrt(null, alt)
+        assert res.nll_alt <= res.nll_null
 
     def test_strong_trend_detected(self):
         # location rises by 3 scale units across the record

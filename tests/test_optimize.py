@@ -1,9 +1,11 @@
-"""Simplex minimizer, bounds inference, and the MLE driver."""
+"""Simplex minimizer, bounds inference, and the projected-Newton MLE fit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremefit import (
     Bounds,
@@ -13,13 +15,17 @@ from extremefit import (
     ModelSpec,
     ParamTriple,
     RngState,
+    default_priors,
     fit_mle,
     infer_bounds,
     neg_log_likelihood,
     nelder_mead,
+    realize,
     sample,
 )
-from extremefit.optimize import bounds_from_json, bounds_to_json, load_bounds
+from extremefit import model
+from extremefit.distributions import quantile_values
+from extremefit.optimize import bounds_from_json, bounds_to_json, default_start, load_bounds
 
 GEV = EvdFamily.GEV
 
@@ -119,6 +125,15 @@ class TestInferBounds:
         b = infer_bounds(spec)
         assert b.lo[0] < 10.0 < b.hi[0]
 
+    def test_gpd_threshold_pinned_at_zero(self):
+        cov = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
+        spec = ModelSpec(data=np.linspace(0.1, 5.0, 200), covariates=cov, config=(1, 0, 0),
+                         family=EvdFamily.GPD)
+        b = infer_bounds(spec)
+        assert b.pinned.tolist() == [True, True, False, False]
+        assert b.lo[:2].tolist() == b.hi[:2].tolist() == [0.0, 0.0]
+        assert default_start(spec)[:2].tolist() == [0.0, 0.0]
+
 
 class TestFitMle:
     def test_stationary_recovery(self):
@@ -179,3 +194,111 @@ class TestBoundsJson:
             bounds_from_json({"lo": [0.0]})
         with pytest.raises(DomainError):
             bounds_from_json({"lo": [1.0], "hi": [0.0]})
+
+
+def _numpy_gev_series(n=100, seed=5):
+    """GEV(10, 2, 0.1) block maxima by inverse CDF from numpy's default_rng(seed)."""
+    u = np.random.default_rng(seed).random(n)
+    return 10.0 + 2.0 * np.expm1(-0.1 * np.log(-np.log(u))) / 0.1
+
+
+def _ramp_spec(family, config, theta, n, seed):
+    """Inverse-CDF draws under theta with a centred covariate ramp."""
+    cov = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
+    shell = ModelSpec(data=np.zeros(n), covariates=cov, config=config, family=family)
+    data = quantile_values(family, RngState(seed, 0).uniforms(n), *realize(shell, theta))
+    return ModelSpec(data=data, covariates=cov, config=config, family=family)
+
+
+class TestNewton:
+    def test_std_errors_shift_equivariant(self):
+        x = _numpy_gev_series()
+        fits = [fit_mle(ModelSpec(data=x + shift, covariates=None, config=(0, 0, 0),
+                                  family=GEV)) for shift in (0.0, 1e6)]
+        assert all(f.converged and f.std_errors is not None for f in fits)
+        np.testing.assert_allclose(fits[1].std_errors, fits[0].std_errors, rtol=1e-6)
+        np.testing.assert_allclose(fits[1].theta_hat - [1e6, 0.0, 0.0], fits[0].theta_hat,
+                                   rtol=0.0, atol=1e-6 * fits[0].std_errors.min())
+
+    @pytest.mark.parametrize("config, theta", [
+        ((0, 0, 0), [0.0, 1.0, 0.1]),
+        ((0, 1, 0), [0.0, 0.0, 0.3, 0.1]),
+        ((0, 1, 1), [0.0, 0.0, 0.3, 0.1, 0.05]),
+    ])
+    def test_pinned_threshold_not_above_simplex(self, config, theta):
+        theta = np.array(theta)
+        spec = _ramp_spec(EvdFamily.GPD, config, theta, 150, 902)
+        bounds, start = infer_bounds(spec), default_start(spec)
+        fit = fit_mle(spec, start, bounds)
+        free = ~bounds.pinned
+
+        def on_free(u):
+            full = start.copy()
+            full[free] = u
+            return full
+
+        simplex = nelder_mead(lambda u: neg_log_likelihood(spec, on_free(u)), start[free],
+                              Bounds(bounds.lo[free], bounds.hi[free]))
+        assert fit.converged
+        assert fit.theta_hat[0] == 0.0 and fit.std_errors[0] == 0.0
+        assert fit.nll_min <= simplex.nll_min
+        assert fit.nll_min <= neg_log_likelihood(spec, theta)
+        assert np.all(np.isfinite(fit.std_errors)) and np.all(fit.std_errors[free] > 0)
+
+    def test_slope_of_a_large_covariate(self):
+        # seconds over about 11 years: std 1e8, so the slope box is +-1e-7
+        n = 200
+        seconds = np.linspace(-1.75e8, 1.75e8, n).reshape(-1, 1)
+        theta = np.array([10.0, 2.0 / 1e8, 2.0, 0.1])
+        data = _ramp_spec(GEV, (1, 0, 0), theta * [1.0, 1.75e8, 1.0, 1.0], n, 903).data
+        fits = [fit_mle(ModelSpec(data=data, covariates=cov, config=(1, 0, 0), family=GEV))
+                for cov in (seconds, seconds / 1.75e8)]
+        assert all(f.converged and f.std_errors is not None for f in fits)
+        slope, se = fits[0].theta_hat[1], fits[0].std_errors[1]
+        assert abs(slope - theta[1]) <= 3.0 * se < theta[1]
+        assert slope * 1.75e8 == pytest.approx(fits[1].theta_hat[1], rel=1e-6)
+        assert fits[0].nll_min == pytest.approx(fits[1].nll_min, abs=1e-8)
+
+    def test_fit_does_not_depend_on_units(self):
+        x = _numpy_gev_series()
+        fits = [fit_mle(ModelSpec(data=x * unit, covariates=None, config=(0, 0, 0),
+                                  family=GEV)) for unit in (1.0, 1e-9)]
+        assert all(f.converged and f.std_errors is not None for f in fits)
+        units = np.array([1e-9, 1e-9, 1.0])
+        np.testing.assert_allclose(fits[1].theta_hat, fits[0].theta_hat * units, rtol=1e-6)
+        np.testing.assert_allclose(fits[1].std_errors, fits[0].std_errors * units, rtol=1e-5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=st.sampled_from([(0, 0, 0), (1, 0, 0), (1, 1, 0)]),
+           n=st.integers(50, 150), seed=st.integers(0, 10_000))
+    def test_not_above_simplex(self, config, n, seed):
+        a, b, _ = config
+        theta = np.array([10.0] + [1.0] * a + ([2.0] if b == 0 else [math.log(2.0), 0.3])
+                         + [0.1])
+        spec = _ramp_spec(GEV, config, theta, n, seed)
+        bounds, start = infer_bounds(spec), default_start(spec)
+        fit = fit_mle(spec, start, bounds)
+        simplex = nelder_mead(lambda t: neg_log_likelihood(spec, t), start, bounds)
+        assert fit.converged
+        assert fit.nll_min <= simplex.nll_min + 1e-6
+
+    def test_max_iter_caps_the_fit(self):
+        spec = _gev_spec(n=400, seed=406)
+        full = fit_mle(spec)
+        assert full.converged
+        stopped = fit_mle(spec, max_iter=0)
+        assert not stopped.converged
+        assert stopped.n_evals == 2 * 3 + 1  # one gradient and Hessian evaluation
+        assert stopped.nll_min >= full.nll_min
+
+    def test_one_lmoment_fit_per_spec(self, monkeypatch):
+        calls = []
+        real = model.stationary_estimate
+        monkeypatch.setattr(model, "stationary_estimate",
+                            lambda *args: calls.append(args) or real(*args))
+        spec = _gev_spec(n=300, seed=409, config=(1, 0, 0),
+                         cov=np.linspace(0.0, 1.0, 300).reshape(-1, 1))
+        fit_mle(spec)
+        for derive in (infer_bounds, default_start, default_priors):
+            derive(spec)
+        assert len(calls) == 1

@@ -358,6 +358,22 @@ def edge_target():
     return Target(log_post=lambda th: -0.5 * (th * th).sum(axis=-1), grad_log_post=grad)
 
 
+class TestHmcGradientCache:
+    def test_one_gradient_per_leapfrog_step(self):
+        data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(31, 0), size=60)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        target = posterior_target(spec, default_priors(spec))
+        calls = []
+        counted = Target(target.log_post,
+                         lambda theta: calls.append(1) or target.grad_log_post(theta))
+        chain = hmc(counted, 20, [10.0, 2.0, 0.1], 0.05, 6, mass_diag=[10.0, 20.0, 100.0],
+                    rng=RngState(5, 0), burn_in=0)
+        assert chain.acceptance_rate > 0.5
+        # one gradient at the start, then one per leapfrog step: the accepted
+        # trajectory's end gradient is the next start gradient
+        assert len(calls) == 1 + 20 * 6
+
+
 class TestLockstep:
     """sample_chains runs K chains in lockstep; chain k equals a lone chain k bit for bit."""
 
