@@ -46,6 +46,9 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 _PIN = 1e-8  # half-width of the uniform default prior around a pinned coordinate
+# burn-in adapts each mala chain's step multiplier toward the optimal MALA
+# acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
+MALA_TARGET_ACCEPT = 0.574
 
 
 class ConfigError(Exception):
@@ -275,32 +278,34 @@ def _prior_scales(priors: PriorSet) -> np.ndarray:
 
 
 def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
-                   bounds: Bounds, x0) -> np.ndarray:
-    """Per-parameter proposal scales: --steps, else MLE standard errors.
+                   bounds: Bounds, x0) -> tuple[np.ndarray, str]:
+    """Per-parameter proposal scales and where they came from.
 
-    When no explicit vector is given, a quick maximum-likelihood fit
-    provides curvature-based scales, capped by the prior scales; a
-    coordinate that the bounds pin moves at its prior's scale. The prior
-    scales shrunk by 20x are the fallback when the Hessian is unusable.
+    The source is "steps" for an explicit --steps vector. Otherwise a quick
+    maximum-likelihood fit provides curvature-based scales, capped by the
+    prior scales, with a coordinate that the bounds pin moving at its
+    prior's scale ("mle"); when the fit fails or its Hessian is unusable
+    the prior scales shrunk by 20x are used ("prior_fallback").
     """
     dim = param_dim(spec)
     if cfg.steps is not None:
-        return _check_len(cfg.steps, dim, "--steps")
+        return _check_len(cfg.steps, dim, "--steps"), "steps"
     prior_scales = _prior_scales(priors)
-    scales = 0.05 * prior_scales
+    scales, source = 0.05 * prior_scales, "prior_fallback"
     try:
         fit = fit_mle(spec, x0, bounds)
         if fit.std_errors is not None:
             scales = np.where(bounds.pinned, prior_scales,
                               np.minimum(fit.std_errors, prior_scales))
+            source = "mle"
     except ExtremeFitError:
         pass
     scales = np.maximum(scales, 1e-12)
     if cfg.sampler == "rw":
-        return 2.4 * scales / math.sqrt(dim)
+        return 2.4 * scales / math.sqrt(dim), source
     if cfg.sampler == "mala":
-        return 0.6 * scales * dim ** (-1.0 / 6.0)
-    return scales  # hmc: converted to a diagonal mass matrix
+        return 0.6 * scales * dim ** (-1.0 / 6.0), source
+    return scales, source  # hmc: converted to a diagonal mass matrix
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +337,13 @@ def _cmd_sample(cfg: RunConfig) -> None:
     spec = _build_spec(cfg, data, covariates)
     priors = _resolve_priors(cfg, spec)
     x0 = _resolve_init(cfg, spec)
-    steps = _resolve_steps(cfg, spec, priors, _resolve_bounds(cfg, spec), x0)
+    steps, steps_source = _resolve_steps(cfg, spec, priors, _resolve_bounds(cfg, spec), x0)
     chains = sample_chains(
         cfg.sampler, posterior_target(spec, priors), cfg.num_samples, x0,
         1.0 / steps**2 if cfg.sampler == "hmc" else steps,
         [RngState(cfg.seed, k) for k in range(cfg.chains)], T=cfg.temp,
         burn_in=cfg.burn_in, thin=cfg.thin, eps=cfg.eps, n_leapfrog=cfg.leapfrog,
+        target_accept=MALA_TARGET_ACCEPT if cfg.sampler == "mala" else None,
     )
 
     names = param_names(spec)
@@ -358,6 +364,8 @@ def _cmd_sample(cfg: RunConfig) -> None:
         "seed": cfg.seed,
         "temperature": cfg.temp,
         "acceptance_rates": [c.acceptance_rate for c in chains],
+        "step_scale": [c.step_scale for c in chains],
+        "steps_source": steps_source,
         "dic": dic_value,
         "params": [
             {

@@ -192,24 +192,32 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     Location intercept within +-10 sigma of the L-moment location, scale in
     (1e-8 sigma, 100 sigma) (log-scale intercept +-5 around ln sigma when
     covariates enter), shape intercept in [-0.5, 0.5], and every covariate
-    slope within +-10 / std(column). GPD data are exceedances of a threshold
-    at 0 (as in stationary_estimate), so there the location intercept and
-    slopes are pinned at 0.
+    slope within +-10 / std(column). The location and log-scale intercept
+    boxes widen by sum_j |mean_j| * 10 / std_j over their columns, so that
+    every slope in its box has an intercept in the box whatever the
+    covariates' means. GPD data are exceedances of a threshold at 0 (as in
+    stationary_estimate), so there the location intercept and slopes are
+    pinned at 0.
     """
     est = spec.lmoment_estimate
     a, b, c = spec.config
     lo: list[float] = []
     hi: list[float] = []
 
-    def slope_bounds(which: int):
+    def slope_bounds(which: int, intercept: int | None):
         for col in spec.columns_for(which):
-            std = max(float(np.std(spec.covariates[:, col])), 1e-6)
-            lo.append(-10.0 / std)
-            hi.append(10.0 / std)
+            column = spec.covariates[:, col]
+            half = 10.0 / max(float(np.std(column)), 1e-6)
+            lo.append(-half)
+            hi.append(half)
+            if intercept is not None:
+                reach = abs(float(np.mean(column))) * half
+                lo[intercept] -= reach
+                hi[intercept] += reach
 
     lo.append(est.loc - 10.0 * est.scale)
     hi.append(est.loc + 10.0 * est.scale)
-    slope_bounds(0)
+    slope_bounds(0, 0)
     if spec.family is EvdFamily.GPD:
         lo[: a + 1] = hi[: a + 1] = [0.0] * (a + 1)
     if b == 0:
@@ -218,10 +226,10 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     else:
         lo.append(math.log(est.scale) - 5.0)
         hi.append(math.log(est.scale) + 5.0)
-        slope_bounds(1)
+        slope_bounds(1, a + 1)
     lo.append(-0.5)
     hi.append(0.5)
-    slope_bounds(2)
+    slope_bounds(2, None)  # the shape intercept box stays [-0.5, 0.5]
     return Bounds(np.array(lo), np.array(hi))
 
 

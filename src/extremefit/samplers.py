@@ -1,5 +1,9 @@
 """Random-walk Metropolis, MALA, and Hamiltonian Monte Carlo kernels.
 
+MALA runs as one-step HMC: with steps s it is HMC with one leapfrog step of
+size 1 and mass 1/s**2 (Neal 2011, Handbook of MCMC, ch. 5), so one
+integrator serves both.
+
 All three target a tempered posterior: with temperature T the chain
 invariant density is proportional to exp(log_post / T), and the same 1/T
 scaling is applied to gradients so that drift terms and acceptance tests
@@ -19,13 +23,17 @@ Conventions shared by the kernels:
   to 25% of num_samples).
 * the acceptance rate counts post-burn-in proposals only, and proposals
   rejected because a trajectory diverged still count in the denominator;
-* a stored sample always has finite log-posterior.
+* a stored sample always has finite log-posterior;
+* each chain scales its steps by a multiplier, which burn-in may adapt
+  toward a target acceptance (dual averaging, Hoffman & Gelman 2014) and
+  which is then frozen; adaptation draws no random numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +66,7 @@ class Chain:
     burn_in: int
     thin: int
     temperature: float
+    step_scale: float  # the frozen step multiplier: of the rw widths or mala steps; hmc's eps
 
 
 def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0) -> Target:
@@ -88,19 +97,39 @@ def _rowwise(fn):
     return fn and (lambda theta: np.asarray(fn(theta[0]), dtype=float)[None])
 
 
-def _on_rows(fn, x: np.ndarray, rows: np.ndarray, fill: float, shape) -> np.ndarray:
-    """fn(x) on the rows of x selected by the mask; the other rows hold fill."""
-    if np.count_nonzero(rows) == len(rows):
+def _tempered(x, temp: float):
+    return x if temp == 1.0 else x / temp  # x / 1.0 is x, bit for bit
+
+
+# Rows of a (K, d) state are selected by slice(None) (every row) or an index array.
+def _on_rows(fn, x: np.ndarray, rows, fill: float, shape) -> np.ndarray:
+    """fn(x) on the selected rows of x; the other rows hold fill."""
+    if isinstance(rows, slice) or len(rows) == len(x):
         return fn(x)
     out = np.full(shape, fill)
-    out[rows] = fn(x[rows]) if rows.any() else fill
+    if len(rows):
+        out[rows] = fn(x[rows])
     return out
 
 
-# A kernel returns step(z) over the shared (K, d) state. From normals z it
-# proposes and returns (log acceptance ratio per row, (state, proposal) pairs
-# that an accepted row copies). A row to reject has a NaN or -inf ratio.
-def _rw(target, temp, widths, theta, lp, g, eps, n_leapfrog):
+def _finite_part(x: np.ndarray, rows):
+    """rows narrowed to those whose row of x (values on the selected rows) is finite.
+
+    Also returns the kept positions within x, to narrow x alike.
+    """
+    if np.isfinite(x).all():
+        return rows, slice(None)
+    kept = np.flatnonzero(np.isfinite(x).all(axis=-1))
+    return (kept if isinstance(rows, slice) else rows[kept]), kept
+
+
+# A kernel returns step(z) over the shared (K, d) state for the (K, 1) step
+# multipliers eps. From normals z it proposes and returns (log acceptance
+# ratio per row, (state, proposal) pairs that an accepted row copies). A row
+# to reject has a NaN or -inf ratio.
+def _rw(target, temp, widths, theta, lp, eps):
+    widths = eps * widths
+
     def step(z):
         prop = theta + widths * z
         lp_prop = target.log_post(prop)
@@ -108,45 +137,58 @@ def _rw(target, temp, widths, theta, lp, g, eps, n_leapfrog):
     return step
 
 
-def _mala(target, temp, steps, theta, lp, g, eps, n_leapfrog):
-    gt, tau = g / temp, 0.5 * steps**2
+def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
+    """HMC with a diagonal mass; gt holds the tempered gradient at theta.
 
-    def step(z):
-        mean_fwd = theta + tau * gt
-        prop = mean_fwd + steps * z
-        lp_prop = target.log_post(prop)
-        # NaN where lp_prop is -inf; a non-finite gradient makes lq_rev NaN or -inf
-        g_prop = _on_rows(target.grad_log_post, prop, lp_prop > -math.inf, np.nan, prop.shape)
-        gt_prop = g_prop / temp
-        mean_rev = prop + tau * gt_prop
-        lq_fwd = -0.5 * (((prop - mean_fwd) / steps) ** 2).sum(axis=-1)
-        lq_rev = -0.5 * (((theta - mean_rev) / steps) ** 2).sum(axis=-1)
-        log_alpha = (lp_prop - lp) / temp + lq_rev - lq_fwd
-        return log_alpha, ((theta, prop), (lp, lp_prop), (gt, gt_prop))
-    return step
-
-
-def _hmc(target, temp, mass, theta, lp, g, eps, n_leapfrog):
+    With n_leapfrog = 1, eps = 1 and mass 1/s**2 this is MALA with steps s
+    (Neal 2011, Handbook of MCMC, ch. 5).
+    """
     sqrt_mass, inv_mass = np.sqrt(mass), 1.0 / mass
+    half, drift = 0.5 * eps, eps * inv_mass
 
     def step(z):
         p0 = sqrt_mass * z
-        q_new, p_new = theta.copy(), p0.copy()
-        # g holds each row's gradient from its accepted trajectory's end (or the start)
-        diverged, g_new = _integrate(target.grad_log_post, q_new, p_new, g, eps, n_leapfrog,
-                                     inv_mass, temp)
-        lp_new = _on_rows(target.log_post, q_new, ~diverged, -math.inf, len(q_new))
-        with np.errstate(over="ignore", invalid="ignore"):  # h1 is +inf or NaN if diverged
-            h0 = -lp / temp + 0.5 * (p0 * p0 * inv_mass).sum(axis=-1)
-            h1 = -lp_new / temp + 0.5 * (p_new * p_new * inv_mass).sum(axis=-1)
-            return h0 - h1, ((theta, q_new), (lp, lp_new), (g, g_new))
+        # gt holds each row's gradient from its accepted trajectory's end (or the start)
+        q, p, rows = _integrate(target.grad_log_post, theta, p0, gt, half, eps, drift,
+                                n_leapfrog, temp)
+        # the end: log-posterior on the rows still moving, gradient where it is finite
+        lp_new = _on_rows(target.log_post, q, rows, -math.inf, len(q))
+        inside = [k for k, v in enumerate(lp_new.tolist()) if v > -math.inf]
+        gt_new = _tempered(_on_rows(target.grad_log_post, q, inside, np.nan, q.shape), temp)
+        p += half * gt_new  # NaN on the rows that stopped, so their ratio is NaN
+        h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - _tempered(lp, temp)
+        h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - _tempered(lp_new, temp)
+        return h0 - h1, ((theta, q), (lp, lp_new), (gt, gt_new))
     return step
+
+
+def _dual_averaging(delta: float, eps0: float):
+    """Step-size adaptation toward the acceptance delta (Hoffman & Gelman 2014, JMLR 15, §3.2).
+
+    Returns update(log_alpha, last) -> the next step: the iterate log eps_m
+    during burn-in, the average log eps_bar_m when last. An acceptance ratio of
+    NaN counts as 0. Pure float arithmetic, so a chain adapts alike alone and in
+    lockstep.
+    """
+    mu, gamma, t0, kappa = math.log(10.0 * eps0), 0.05, 10.0, 0.75
+    m, h_bar, log_eps_bar = 0, 0.0, 0.0
+
+    def update(log_alpha: float, last: bool) -> float:
+        nonlocal m, h_bar, log_eps_bar
+        m += 1
+        accept = math.exp(min(log_alpha, 0.0)) if log_alpha == log_alpha else 0.0
+        h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (delta - accept) / (m + t0)
+        log_eps = mu - math.sqrt(m) / gamma * h_bar
+        w = m ** -kappa
+        log_eps_bar = w * log_eps + (1.0 - w) * log_eps_bar
+        return math.exp(min(log_eps_bar if last else log_eps, 700.0))  # exp overflows past 709.8
+    return update
 
 
 def sample_chains(kind: str, target: Target, num_samples: int, initial_params, scales,
                   rngs: Sequence[RngState], T: float | None = None,
                   burn_in: int | None = None, thin: int = 1, eps: float = 0.2,
-                  n_leapfrog: int = 10) -> list[Chain]:
+                  n_leapfrog: int = 10, target_accept: float | None = None) -> list[Chain]:
     """Run one chain per RngState in rngs, all in lockstep; returns the chains in order.
 
     kind is "rw", "mala" or "hmc"; scales are the rw proposal widths, the mala
@@ -155,6 +197,12 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     K = 1 the target callables get (d,) rows; with K > 1 they get (K, d) states
     and return (K,) log-posteriors (-inf outside the support) and (K, d)
     gradients (NaN rows where undefined), as ``posterior_target``'s do.
+
+    Each chain scales its steps by a multiplier (``Chain.step_scale``): 1 for
+    rw and mala, eps for hmc. With target_accept, burn-in adapts each chain's
+    multiplier by dual averaging of its own acceptance probabilities toward
+    target_accept, then freezes it at the averaged value; no extra random
+    numbers are drawn.
     """
     temp = float(target.temperature if T is None else T)
     num_samples, thin = int(num_samples), int(thin)
@@ -168,6 +216,8 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
         (num_samples < 1, "num_samples must be >= 1"),
         (thin < 1, "thin must be >= 1"),
         (burn_in < 0, "burn_in must be >= 0"),
+        (target_accept is not None and not 0 < target_accept < 1,
+         "target_accept must be in (0, 1)"),
     ):
         if bad:
             raise DomainError(message)
@@ -185,23 +235,36 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     g = None if kind == "rw" else np.array(target.grad_log_post(theta), dtype=float)
     if g is not None and not np.all(np.isfinite(g)):
         raise InitializationError("gradient is not finite at the initial point")
-    kernel = {"rw": _rw, "mala": _mala, "hmc": _hmc}[kind]
-    step = kernel(target, temp, scales, theta, lp, g, eps, n_leapfrog)
+    eps0 = float(eps) if kind == "hmc" else 1.0
+    multipliers = np.full((n_chains, 1), eps0)
+    if kind == "rw":
+        kernel = partial(_rw, target, temp, scales, theta, lp)
+    else:  # mala is one-step HMC with mass 1/s**2
+        mass, n_steps = (scales, n_leapfrog) if kind == "hmc" else (1.0 / scales**2, 1)
+        kernel = partial(_hmc, target, temp, mass, n_steps, theta, lp, _tempered(g, temp))
+    step = kernel(multipliers)
+    adapters = ([_dual_averaging(target_accept, eps0) for _ in rngs]
+                if target_accept is not None else [])
     samples = np.empty((n_chains, num_samples, dim))
     accepted = [0] * n_chains
     for it in range(burn_in + num_samples * thin):
         z = np.array([rng.normals(dim) for rng in rngs])
         log_u = [math.log(rng.uniform()) for rng in rngs]
         log_alpha, moves = step(z)
-        for k, (lu, la) in enumerate(zip(log_u, log_alpha.tolist())):
+        log_alpha = log_alpha.tolist()
+        for k, (lu, la) in enumerate(zip(log_u, log_alpha)):
             if lu < la:
                 for state, proposal in moves:
                     state[k] = proposal[k]
                 accepted[k] += it >= burn_in
+        if it < burn_in and adapters:
+            for k, (update, la) in enumerate(zip(adapters, log_alpha)):
+                multipliers[k, 0] = update(la, it == burn_in - 1)
+            step = kernel(multipliers)
         if it >= burn_in and (it - burn_in) % thin == thin - 1:
             samples[:, (it - burn_in) // thin] = theta
     return [Chain(samples[k], accepted[k] / (num_samples * thin), kind, rng.seed,
-                  rng.stream_id, num_samples, burn_in, thin, temp)
+                  rng.stream_id, num_samples, burn_in, thin, temp, float(multipliers[k, 0]))
             for k, rng in enumerate(rngs)]
 
 
@@ -224,8 +287,10 @@ def mala(target: Target, num_samples: int, initial_params, step_sizes,
 
     With tempered gradient g = grad_log_post/T and tau_i = step_i^2 / 2 the
     proposal theta'_i = theta_i + tau_i g_i + step_i z_i is corrected by the
-    forward/reverse proposal density ratio. A non-finite gradient at the
-    proposal rejects it and still counts toward the acceptance denominator.
+    forward/reverse proposal density ratio, computed as one-step HMC with
+    mass 1/step**2 (equal up to rounding). The gradient at the proposal is
+    taken only where its log-posterior is finite; a non-finite gradient
+    rejects it and still counts toward the acceptance denominator.
     """
     return sample_chains("mala", target, num_samples, initial_params, step_sizes,
                          [rng or RngState(0, 0)], T, burn_in, thin)[0]
@@ -250,46 +315,44 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
     if np.any(mass <= 0):
         raise DomainError("mass_diag entries must be > 0")
     grad = target.grad_log_post if np.ndim(theta) == 2 else _rowwise(target.grad_log_post)
-    diverged, _ = _integrate(grad, q, p, grad(q), eps, n_steps, 1.0 / mass, temp)
+    gt = _tempered(grad(q), temp)
+    start, _ = _finite_part(gt, np.arange(len(q)))  # a row with no gradient never moves
+    diverged = np.ones(len(q), dtype=bool)
+    if len(start):
+        eps_rows = np.full((len(start), 1), float(eps))
+        q[start], p[start], rows = _integrate(grad, q[start], p[start], gt[start], 0.5 * eps_rows,
+                                              eps_rows, eps_rows * (1.0 / mass), n_steps, temp,
+                                              finish=True)
+        diverged[start[rows]] = False
     return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
 
 
-def _integrate(grad, q, p, g_start, eps, n_steps, inv_mass, temp):
-    """Leapfrog on (K, d) q and p in place, from the log-posterior gradient g_start at q.
+def _integrate(grad, q, p, gt, half, eps, drift, n_steps, temp, finish=False):
+    """Leapfrog from (K, d) q and p; returns new (q, p) and the rows still moving.
 
-    Returns the (K,) divergence mask and the log-posterior gradient at the
-    end (NaN or stale on diverged rows). A row whose gradient or position
-    turns non-finite freezes there while the other rows keep integrating.
+    gt is the tempered log-posterior gradient at q, finite on every row; half,
+    eps and drift are the (K, 1) half and full steps and the (K, d) position
+    steps eps / mass. A row whose position or gradient turns non-finite stops
+    there while the other rows keep integrating. Without finish the last
+    gradient and half step of the momenta are left to the caller, which
+    evaluates the end point itself.
     """
-    diverged, g_log = np.zeros(len(q), dtype=bool), np.array(g_start, dtype=float)
-    g = -g_log / temp  # the potential's gradient
-    rows = slice(None)  # the rows still integrating; an index array after a divergence
-
-    def keep(ok):  # freeze the moving rows where ok is False; returns whether any still moves
-        nonlocal rows
-        n_ok = np.count_nonzero(ok)
-        if n_ok < len(ok):
-            live = np.arange(len(q))[rows]
-            diverged[live[~ok]] = True
-            rows = live[ok]
-        return n_ok > 0
-
-    def grad_u():
-        g_rows = grad(q[rows])
-        g_log[rows] = g_rows
-        g[rows] = -g_rows / temp
-        keep(np.isfinite(g_rows).all(axis=-1))
-
-    keep(np.isfinite(g_log).all(axis=-1))
-    p[rows] -= 0.5 * eps * g[rows]
-    for step in range(n_steps):
-        q[rows] += eps * inv_mass * p[rows]
-        if keep(np.isfinite(q[rows]).all(axis=-1)):
-            grad_u()
-        if step < n_steps - 1:
-            p[rows] -= eps * g[rows]
-    p[rows] -= 0.5 * eps * g[rows]
-    return diverged, g_log
+    p = p + half * gt
+    q = q + drift * p
+    rows, _ = _finite_part(q, slice(None))
+    for step in range(n_steps if finish else n_steps - 1):
+        if isinstance(rows, np.ndarray) and not rows.size:
+            break
+        g = grad(q[rows])
+        rows, kept = _finite_part(g, rows)
+        gt = _tempered(g[kept], temp)
+        if step == n_steps - 1:
+            p[rows] += half[rows] * gt
+        else:
+            p[rows] += eps[rows] * gt
+            q[rows] += drift[rows] * p[rows]
+            rows, _ = _finite_part(q[rows], rows)
+    return q, p, rows
 
 
 def hmc(target: Target, num_samples: int, initial_params, eps: float,

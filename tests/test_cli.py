@@ -207,7 +207,8 @@ class TestSample:
         summary = json.loads((tmp_path / "smp" / "summary.json").read_text())
         assert set(summary) == {
             "sampler", "dist", "config", "num_samples", "burn_in", "thin",
-            "chains", "seed", "temperature", "acceptance_rates", "dic", "params",
+            "chains", "seed", "temperature", "acceptance_rates", "step_scale",
+            "steps_source", "dic", "params",
         }
         assert summary["sampler"] == "rw"
         assert len(summary["acceptance_rates"]) == 2
@@ -250,6 +251,39 @@ class TestSample:
             assert res.returncode == EXIT_OK, res.stderr
             traces.append((tmp_path / out / "trace_0.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    def test_step_scale_and_steps_source(self, tmp_path, sim_csv):
+        def summary(*extra):
+            out = f"s{len(list(tmp_path.iterdir()))}"
+            res = run_cli(["sample", "--input", str(sim_csv), "--config", "1,0,0",
+                           "--num-samples", "40", "--chains", "2", "--seed", "3",
+                           "--out", out, *extra], tmp_path)
+            assert res.returncode == EXIT_OK, res.stderr
+            return json.loads((tmp_path / out / "summary.json").read_text())
+
+        mala = summary("--sampler", "mala")
+        assert mala["steps_source"] == "mle"
+        # burn-in adapts each mala chain's multiplier on its own
+        assert len(set(mala["step_scale"])) == 2 and 1.0 not in mala["step_scale"]
+        assert summary("--sampler", "mala", "--burn-in", "0")["step_scale"] == [1.0, 1.0]
+        hmc = summary("--sampler", "hmc", "--eps", "0.3")
+        assert hmc["step_scale"] == [0.3, 0.3]
+        rw = summary("--sampler", "rw", "--steps", "0.5,0.01,0.5,0.05")
+        assert rw["step_scale"] == [1.0, 1.0] and rw["steps_source"] == "steps"
+
+    def test_steps_source_names_the_prior_fallback(self, tmp_path):
+        # GPD exceedances that are a smooth curve of the covariate: the fit ends
+        # at the shape bound with no usable Hessian, so steps come from the priors
+        cov = np.linspace(0.0, 1.0, 200)
+        x = np.exp(0.3 * cov) * (0.4 ** -0.1 - 1.0) / 0.1
+        path = tmp_path / "curve.csv"
+        path.write_text("value,cov_0\n" + "".join(f"{a:.17g},{c:.17g}\n" for a, c in zip(x, cov)))
+        res = run_cli(["sample", "--input", str(path), "--dist", "gpd", "--config", "0,1,0",
+                       "--num-samples", "20", "--chains", "1", "--seed", "1", "--out", "gp"],
+                      tmp_path)
+        assert res.returncode == EXIT_OK, res.stderr
+        summary = json.loads((tmp_path / "gp" / "summary.json").read_text())
+        assert summary["steps_source"] == "prior_fallback"
 
     def test_env_seed_fallback(self, tmp_path, sim_csv):
         args = ["sample", "--input", str(sim_csv), "--config", "1,0,0",

@@ -125,6 +125,26 @@ class TestInferBounds:
         b = infer_bounds(spec)
         assert b.lo[0] < 10.0 < b.hi[0]
 
+    @pytest.mark.parametrize("config, theta, seed", [
+        ((1, 0, 0), [-18.0, 2e-8, 2.0, 0.1], 11),  # a location trend over 1.4e9-1.75e9 s
+        ((0, 1, 0), [10.0, -7.0, 5e-9, 0.1], 12),  # a log-scale trend over the same span
+    ])
+    def test_uncentred_covariate_fits_as_centred(self, config, theta, seed):
+        t = np.linspace(1.4e9, 1.75e9, 200)
+        shell = ModelSpec(data=np.zeros(t.size), covariates=t.reshape(-1, 1), config=config,
+                          family=GEV)
+        data = quantile_values(GEV, RngState(seed, 0).uniforms(t.size),
+                               *realize(shell, np.array(theta)))
+        raw, centred = (ModelSpec(data=data, covariates=cov.reshape(-1, 1), config=config,
+                                  family=GEV) for cov in (t, t - t.mean()))
+        fits = [fit_mle(spec) for spec in (raw, centred)]
+        assert all(f.converged for f in fits)
+        assert fits[0].nll_min == pytest.approx(fits[1].nll_min, abs=1e-6)
+        b = infer_bounds(raw)
+        intercept = 0 if config[0] else 1
+        assert b.lo[intercept] < fits[0].theta_hat[intercept] < b.hi[intercept]
+        assert np.all((b.lo < fits[0].theta_hat) & (fits[0].theta_hat < b.hi))
+
     def test_gpd_threshold_pinned_at_zero(self):
         cov = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
         spec = ModelSpec(data=np.linspace(0.1, 5.0, 200), covariates=cov, config=(1, 0, 0),
