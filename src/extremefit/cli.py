@@ -9,6 +9,13 @@ simulate   draw synthetic data from given true parameters; writes a CSV
            that feeds straight back into fit/sample
 lrt        likelihood-ratio test of two nested configurations; lrt.json
 
+The parsed argparse namespace is the run's configuration: each subparser
+binds its command function, and argparse holds every default. Option values
+are checked when they are parsed: --num-samples, --thin, --chains,
+--leapfrog and --n must be >= 1, --burn-in >= 0, --temp and --eps finite
+and > 0, and --return-period finite and > 1, so a violation exits 1 before
+any file is read or written.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
 are emitted as one JSON line on stderr. All floats are serialized with 17
 significant digits, so reruns with the same seed are byte-identical.
@@ -28,7 +35,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,36 +59,6 @@ MALA_TARGET_ACCEPT = 0.574
 
 class ConfigError(Exception):
     """User-facing configuration problem (exit code 1)."""
-
-
-@dataclass
-class RunConfig:
-    """Validated arguments for one CLI invocation."""
-
-    command: str
-    input: str | None = None
-    dist: str = "gev"
-    config: tuple[int, int, int] = (0, 0, 0)
-    sampler: str = "rw"
-    num_samples: int = 10000
-    burn_in: int | None = None
-    thin: int = 1
-    seed: int = 0
-    chains: int = 4
-    temp: float = 1.0
-    init: list[float] | None = None
-    steps: list[float] | None = None
-    priors_path: str | None = None
-    bounds_path: str | None = None
-    out: str = "."
-    return_period: float | None = None
-    n: int = 100
-    true_params: list[float] | None = None
-    covariates_path: str | None = None
-    eps: float = 0.2
-    leapfrog: int = 10
-    null_config: tuple[int, int, int] | None = None
-    alt_config: tuple[int, int, int] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +182,13 @@ def load_csv(path: str):
 # shared assembly helpers
 
 
-def _build_spec(cfg: RunConfig, data, covariates) -> ModelSpec:
-    family = EvdFamily.parse(cfg.dist)
-    spec = ModelSpec(data=data, covariates=covariates, config=cfg.config, family=family)
+def _build_spec(dist: str, config, data, covariates) -> ModelSpec:
+    spec = ModelSpec(data=data, covariates=covariates, config=config,
+                     family=EvdFamily.parse(dist))
     violations = validate_config(spec)
     if violations:
         raise ConfigError("; ".join(violations))
     return spec
-
-
-def _parse_vector(text: str, label: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse {label} vector from {text!r}")
 
 
 def _check_len(values, dim: int, label: str) -> np.ndarray:
@@ -229,41 +198,30 @@ def _check_len(values, dim: int, label: str) -> np.ndarray:
     return arr
 
 
-def _resolve_bounds(cfg: RunConfig, spec: ModelSpec) -> Bounds:
-    if cfg.bounds_path:
-        try:
-            bounds = load_bounds(cfg.bounds_path)
-        except (OSError, json.JSONDecodeError, ExtremeFitError) as exc:
-            raise ConfigError(f"cannot read bounds file: {exc}")
-        if bounds.lo.size != param_dim(spec):
-            raise ConfigError(
-                f"bounds have {bounds.lo.size} entries, model needs {param_dim(spec)}"
-            )
-        return bounds
-    return infer_bounds(spec)
+def _read_sized(path: str, load, label: str, size, spec: ModelSpec):
+    """load(path), whose size(...) must equal the model's parameter count."""
+    try:
+        obj = load(path)
+    except (OSError, json.JSONDecodeError, ExtremeFitError) as exc:
+        raise ConfigError(f"cannot read {label} file: {exc}")
+    if size(obj) != param_dim(spec):
+        raise ConfigError(f"{label} file has {size(obj)} entries, model needs {param_dim(spec)}")
+    return obj
 
 
-def _resolve_priors(cfg: RunConfig, spec: ModelSpec) -> PriorSet:
-    if cfg.priors_path:
-        try:
-            priors = load_priors(cfg.priors_path)
-        except (OSError, json.JSONDecodeError, ExtremeFitError) as exc:
-            raise ConfigError(f"cannot read priors file: {exc}")
-        if len(priors) != param_dim(spec):
-            raise ConfigError(
-                f"priors file has {len(priors)} entries, model needs {param_dim(spec)}"
-            )
-        return priors
+def _resolve_priors(path: str | None, spec: ModelSpec, bounds: Bounds) -> PriorSet:
+    """The priors file, or the default priors held near the coordinates that bounds pin."""
+    if path:
+        return _read_sized(path, load_priors, "priors", len, spec)
     comps = list(default_priors(spec).components)
-    pins = infer_bounds(spec)
-    for i in np.flatnonzero(pins.pinned):
-        comps[i] = PriorComponent("uniform", pins.lo[i] - _PIN, pins.hi[i] + _PIN)
+    for i in np.flatnonzero(bounds.pinned):
+        comps[i] = PriorComponent("uniform", bounds.lo[i] - _PIN, bounds.hi[i] + _PIN)
     return PriorSet(tuple(comps))
 
 
-def _resolve_init(cfg: RunConfig, spec: ModelSpec) -> np.ndarray:
-    if cfg.init is not None:
-        return _check_len(cfg.init, param_dim(spec), "--init")
+def _resolve_init(init, spec: ModelSpec) -> np.ndarray:
+    if init is not None:
+        return _check_len(init, param_dim(spec), "--init")
     return default_start(spec)
 
 
@@ -277,7 +235,7 @@ def _prior_scales(priors: PriorSet) -> np.ndarray:
     return np.array(scales)
 
 
-def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
+def _resolve_steps(steps, sampler: str, spec: ModelSpec, priors: PriorSet,
                    bounds: Bounds, x0) -> tuple[np.ndarray, str]:
     """Per-parameter proposal scales and where they came from.
 
@@ -288,8 +246,8 @@ def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
     the prior scales shrunk by 20x are used ("prior_fallback").
     """
     dim = param_dim(spec)
-    if cfg.steps is not None:
-        return _check_len(cfg.steps, dim, "--steps"), "steps"
+    if steps is not None:
+        return _check_len(steps, dim, "--steps"), "steps"
     prior_scales = _prior_scales(priors)
     scales, source = 0.05 * prior_scales, "prior_fallback"
     try:
@@ -301,9 +259,9 @@ def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
     except ExtremeFitError:
         pass
     scales = np.maximum(scales, 1e-12)
-    if cfg.sampler == "rw":
+    if sampler == "rw":
         return 2.4 * scales / math.sqrt(dim), source
-    if cfg.sampler == "mala":
+    if sampler == "mala":
         return 0.6 * scales * dim ** (-1.0 / 6.0), source
     return scales, source  # hmc: converted to a diagonal mass matrix
 
@@ -312,12 +270,12 @@ def _resolve_steps(cfg: RunConfig, spec: ModelSpec, priors: PriorSet,
 # subcommands
 
 
-def _cmd_fit(cfg: RunConfig) -> None:
-    data, covariates, _ = load_csv(cfg.input)
-    spec = _build_spec(cfg, data, covariates)
-    bounds = _resolve_bounds(cfg, spec)
-    x0 = _resolve_init(cfg, spec)
-    result = fit_mle(spec, x0, bounds)
+def _cmd_fit(args: argparse.Namespace) -> None:
+    data, covariates, _ = load_csv(args.input)
+    spec = _build_spec(args.dist, args.config, data, covariates)
+    bounds = (_read_sized(args.bounds_path, load_bounds, "bounds", lambda b: b.lo.size, spec)
+              if args.bounds_path else infer_bounds(spec))
+    result = fit_mle(spec, _resolve_init(args.init, spec), bounds)
     payload = {
         "param_names": param_names(spec),
         "theta_hat": result.theta_hat.tolist(),
@@ -325,44 +283,45 @@ def _cmd_fit(cfg: RunConfig) -> None:
         "converged": result.converged,
         "std_errors": None if result.std_errors is None else result.std_errors.tolist(),
     }
-    if cfg.return_period is not None:
+    if args.return_period is not None:
         payload["return_levels"] = return_levels(
-            spec, result.theta_hat, cfg.return_period
+            spec, result.theta_hat, args.return_period
         ).tolist()
-    _write_json(os.path.join(cfg.out, "result.json"), payload)
+    _write_json(os.path.join(args.out, "result.json"), payload)
 
 
-def _cmd_sample(cfg: RunConfig) -> None:
-    data, covariates, _ = load_csv(cfg.input)
-    spec = _build_spec(cfg, data, covariates)
-    priors = _resolve_priors(cfg, spec)
-    x0 = _resolve_init(cfg, spec)
-    steps, steps_source = _resolve_steps(cfg, spec, priors, _resolve_bounds(cfg, spec), x0)
+def _cmd_sample(args: argparse.Namespace) -> None:
+    data, covariates, _ = load_csv(args.input)
+    spec = _build_spec(args.dist, args.config, data, covariates)
+    bounds = infer_bounds(spec)
+    priors = _resolve_priors(args.priors_path, spec, bounds)
+    x0 = _resolve_init(args.init, spec)
+    steps, steps_source = _resolve_steps(args.steps, args.sampler, spec, priors, bounds, x0)
     chains = sample_chains(
-        cfg.sampler, posterior_target(spec, priors), cfg.num_samples, x0,
-        1.0 / steps**2 if cfg.sampler == "hmc" else steps,
-        [RngState(cfg.seed, k) for k in range(cfg.chains)], T=cfg.temp,
-        burn_in=cfg.burn_in, thin=cfg.thin, eps=cfg.eps, n_leapfrog=cfg.leapfrog,
-        target_accept=MALA_TARGET_ACCEPT if cfg.sampler == "mala" else None,
+        args.sampler, posterior_target(spec, priors), args.num_samples, x0,
+        1.0 / steps**2 if args.sampler == "hmc" else steps,
+        [RngState(args.seed, k) for k in range(args.chains)], T=args.temp,
+        burn_in=args.burn_in, thin=args.thin, eps=args.eps, n_leapfrog=args.leapfrog,
+        target_accept=MALA_TARGET_ACCEPT if args.sampler == "mala" else None,
     )
 
     names = param_names(spec)
     for k, chain in enumerate(chains):
-        _write_csv(os.path.join(cfg.out, f"trace_{k}.csv"), names, chain.samples)
+        _write_csv(os.path.join(args.out, f"trace_{k}.csv"), names, chain.samples)
 
     rows = posterior_summary(chains, spec)
     pooled = np.vstack([c.samples for c in chains])
-    dic_value = dic(chains, spec, priors) if pooled.shape[0] >= 100 else None
+    dic_value = dic(chains, spec) if pooled.shape[0] >= 100 else None
     summary = {
-        "sampler": cfg.sampler,
-        "dist": cfg.dist,
-        "config": list(cfg.config),
-        "num_samples": cfg.num_samples,
+        "sampler": args.sampler,
+        "dist": args.dist,
+        "config": list(args.config),
+        "num_samples": args.num_samples,
         "burn_in": chains[0].burn_in,
-        "thin": cfg.thin,
-        "chains": cfg.chains,
-        "seed": cfg.seed,
-        "temperature": cfg.temp,
+        "thin": args.thin,
+        "chains": args.chains,
+        "seed": args.seed,
+        "temperature": args.temp,
         "acceptance_rates": [c.acceptance_rate for c in chains],
         "step_scale": [c.step_scale for c in chains],
         "steps_source": steps_source,
@@ -381,64 +340,51 @@ def _cmd_sample(cfg: RunConfig) -> None:
             for r in rows
         ],
     }
-    _write_json(os.path.join(cfg.out, "summary.json"), summary)
+    _write_json(os.path.join(args.out, "summary.json"), summary)
 
-    if cfg.return_period is not None:
+    if args.return_period is not None:
         theta_mean = pooled.mean(axis=0)
-        levels = return_levels(spec, theta_mean, cfg.return_period)
+        levels = return_levels(spec, theta_mean, args.return_period)
         _write_csv(
-            os.path.join(cfg.out, "return_levels.csv"),
+            os.path.join(args.out, "return_levels.csv"),
             ["index", "return_level"],
             ([float(i), float(v)] for i, v in enumerate(levels)),
         )
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    if cfg.true_params is None:
-        raise ConfigError("simulate requires --true-params")
-    family = EvdFamily.parse(cfg.dist)
-    a, b, c = cfg.config
-    if cfg.covariates_path:
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    a, b, c = args.config
+    if args.covariates_path:
         # a covariate file is read like a data file; its "value" column is ignored
-        _, covariates, cov_names = _split_value(*_read_table(cfg.covariates_path))
+        _, covariates, cov_names = _split_value(*_read_table(args.covariates_path))
         if not cov_names:
-            raise ConfigError(f"{cfg.covariates_path} holds no covariate columns")
+            raise ConfigError(f"{args.covariates_path} holds no covariate columns")
         n = covariates.shape[0]
     else:
-        n = cfg.n
-        if n < 1:
-            raise ConfigError("--n must be >= 1")
-        m = max(a, b, c)
+        n, m = args.n, max(a, b, c)
         ramp = np.linspace(0.0, 1.0, n)
         covariates = np.column_stack([ramp] * m) if m else np.empty((n, 0))
         cov_names = [f"cov_{j}" for j in range(m)]
-    spec = ModelSpec(data=np.zeros(n), covariates=covariates, config=cfg.config,
-                     family=family)
-    violations = validate_config(spec)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    theta = _check_len(cfg.true_params, param_dim(spec), "--true-params")
+    spec = _build_spec(args.dist, args.config, np.zeros(n), covariates)
+    theta = _check_len(args.true_params, param_dim(spec), "--true-params")
     if b == 0 and theta[a + 1] <= 0:
         raise ConfigError("--true-params scale entry must be > 0")
     loc, scale, shape = realize(spec, theta)
-    rng = RngState(cfg.seed, 0)
-    values = quantile_values(family, rng.uniforms(n), loc, scale, shape)
+    rng = RngState(args.seed, 0)
+    values = quantile_values(spec.family, rng.uniforms(n), loc, scale, shape)
     _write_csv(
-        os.path.join(cfg.out, "simulated.csv"),
+        os.path.join(args.out, "simulated.csv"),
         ["value"] + cov_names,
         (np.column_stack([values, covariates]) if cov_names else values.reshape(-1, 1)),
     )
 
 
-def _cmd_lrt(cfg: RunConfig) -> None:
-    data, covariates, _ = load_csv(cfg.input)
-    null_cfg = RunConfig(command="fit", dist=cfg.dist, config=cfg.null_config)
-    alt_cfg = RunConfig(command="fit", dist=cfg.dist, config=cfg.alt_config)
-    spec_null = _build_spec(null_cfg, data, covariates)
-    spec_alt = _build_spec(alt_cfg, data, covariates)
-    result = lrt(spec_null, spec_alt)
+def _cmd_lrt(args: argparse.Namespace) -> None:
+    data, covariates, _ = load_csv(args.input)
+    result = lrt(_build_spec(args.dist, args.null_config, data, covariates),
+                 _build_spec(args.dist, args.alt_config, data, covariates))
     _write_json(
-        os.path.join(cfg.out, "lrt.json"),
+        os.path.join(args.out, "lrt.json"),
         {
             "statistic": result.statistic,
             "df": result.df,
@@ -447,29 +393,6 @@ def _cmd_lrt(cfg: RunConfig) -> None:
             "nll_alt": result.nll_alt,
         },
     )
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one validated RunConfig; returns the process exit code."""
-    dispatch = {
-        "fit": _cmd_fit,
-        "sample": _cmd_sample,
-        "simulate": _cmd_simulate,
-        "lrt": _cmd_lrt,
-    }
-    if cfg.command not in dispatch:
-        _emit_error("config", f"unknown command {cfg.command!r}")
-        return EXIT_CONFIG
-    try:
-        os.makedirs(cfg.out, exist_ok=True)
-        dispatch[cfg.command](cfg)
-        return EXIT_OK
-    except ConfigError as exc:
-        _emit_error("config", str(exc))
-        return EXIT_CONFIG
-    except (ExtremeFitError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        _emit_error("numerical", str(exc))
-        return EXIT_NUMERICAL
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -481,24 +404,45 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route argparse failures to exit code 1
+    """Parser whose failures raise ConfigError (exit code 1).
+
+    The type callables below raise ArgumentTypeError, which argparse
+    prefixes with the option's name and passes to error().
+    """
+
+    def error(self, message):
         raise ConfigError(message)
 
 
-def _parse_config_triple(text: str) -> tuple[int, int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"--config must be three comma-separated integers, got {text!r}")
+def _config_triple(text: str) -> tuple[int, int, int]:
+    """argparse type: three comma-separated integers a,b,c."""
     try:
-        triple = tuple(int(p) for p in parts)
+        triple = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"--config must be three comma-separated integers, got {text!r}")
+        triple = ()
+    if len(triple) != 3:
+        raise argparse.ArgumentTypeError(f"must be three comma-separated integers, got {text!r}")
     return triple
 
 
-def _vector(label: str):
-    """argparse type for a comma-separated float vector; ConfigError names the option."""
-    return lambda text: _parse_vector(text, label)
+def _vector(text: str) -> list[float]:
+    """argparse type: a comma-separated float vector."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse a float vector from {text!r}")
+
+
+def _checked(base, low: float, strict: bool = False):
+    """argparse type: base(text), which must be finite and >= low (> low when strict)."""
+    def parse(text: str):
+        value = base(text)  # a ValueError gives argparse's "invalid int value" message
+        if not (value > low if strict else value >= low) or math.isinf(value):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = base.__name__
+    return parse
 
 
 def _default_seed() -> int:
@@ -517,78 +461,86 @@ def build_parser() -> _Parser:
         description="Fit stationary and non-stationary GEV/GPD models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, positive = _checked(int, 1), _checked(float, 0, strict=True)
+    period = _checked(float, 1, strict=True)
 
     def add_common(p, with_input=True):
         if with_input:
             p.add_argument("--input", required=True, help="input CSV with a 'value' column")
         p.add_argument("--dist", choices=["gev", "gpd"], default="gev")
-        p.add_argument("--config", default="0,0,0", type=_parse_config_triple,
+        p.add_argument("--config", default="0,0,0", type=_config_triple,
                        help="covariate counts a,b,c for location, scale, shape")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: EXTREMEFIT_SEED or 0)")
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
+    p_fit.set_defaults(func=_cmd_fit)
     add_common(p_fit)
-    p_fit.add_argument("--init", default=None, type=_vector("--init"),
+    p_fit.add_argument("--init", default=None, type=_vector,
                        help="comma-separated starting vector")
     p_fit.add_argument("--bounds", dest="bounds_path", default=None, help="bounds JSON file")
-    p_fit.add_argument("--return-period", type=float, default=None)
+    p_fit.add_argument("--return-period", type=period, default=None,
+                       help="return period (> 1)")
 
     p_sample = sub.add_parser("sample", help="MCMC posterior sampling")
+    p_sample.set_defaults(func=_cmd_sample)
     add_common(p_sample)
     p_sample.add_argument("--sampler", choices=["rw", "mala", "hmc"], default="rw")
-    p_sample.add_argument("--num-samples", type=int, default=10000,
-                          help="retained samples per chain")
-    p_sample.add_argument("--burn-in", type=int, default=None,
-                          help="discarded iterations (default 25%% of --num-samples)")
-    p_sample.add_argument("--thin", type=int, default=1)
-    p_sample.add_argument("--chains", type=int, default=4)
-    p_sample.add_argument("--temp", type=float, default=1.0,
-                          help="temperature scaling of the posterior")
-    p_sample.add_argument("--init", default=None, type=_vector("--init"),
+    p_sample.add_argument("--num-samples", type=count, default=10000,
+                          help="retained samples per chain (>= 1)")
+    p_sample.add_argument("--burn-in", type=_checked(int, 0), default=None,
+                          help="discarded iterations, >= 0 (default 25%% of --num-samples)")
+    p_sample.add_argument("--thin", type=count, default=1,
+                          help="keep every THIN-th iteration (>= 1)")
+    p_sample.add_argument("--chains", type=count, default=4, help="number of chains (>= 1)")
+    p_sample.add_argument("--temp", type=positive, default=1.0,
+                          help="temperature scaling of the posterior (> 0)")
+    p_sample.add_argument("--init", default=None, type=_vector,
                           help="comma-separated starting vector")
-    p_sample.add_argument("--steps", default=None, type=_vector("--steps"),
+    p_sample.add_argument("--steps", default=None, type=_vector,
                           help="per-parameter proposal widths / step sizes")
     p_sample.add_argument("--priors", dest="priors_path", default=None,
                           help="priors JSON file")
-    p_sample.add_argument("--eps", type=float, default=0.2, help="hmc leapfrog step size")
-    p_sample.add_argument("--leapfrog", type=int, default=10, help="hmc leapfrog steps")
-    p_sample.add_argument("--return-period", type=float, default=None)
+    p_sample.add_argument("--eps", type=positive, default=0.2,
+                          help="hmc leapfrog step size (> 0)")
+    p_sample.add_argument("--leapfrog", type=count, default=10,
+                          help="hmc leapfrog steps (>= 1)")
+    p_sample.add_argument("--return-period", type=period, default=None,
+                          help="return period (> 1)")
 
     p_sim = sub.add_parser("simulate", help="draw synthetic data")
+    p_sim.set_defaults(func=_cmd_simulate)
     add_common(p_sim, with_input=False)
-    p_sim.add_argument("--true-params", required=True, type=_vector("--true-params"),
+    p_sim.add_argument("--true-params", required=True, type=_vector,
                        help="comma-separated packed parameter vector")
-    p_sim.add_argument("--n", type=int, default=100, help="observations to draw")
+    p_sim.add_argument("--n", type=count, default=100, help="observations to draw (>= 1)")
     p_sim.add_argument("--covariates", dest="covariates_path", default=None,
                        help="covariate CSV (default: 0..1 linear ramp)")
 
     p_lrt = sub.add_parser("lrt", help="likelihood-ratio test of nested configs")
+    p_lrt.set_defaults(func=_cmd_lrt)
     add_common(p_lrt)
-    p_lrt.add_argument("--null-config", required=True, type=_parse_config_triple)
-    p_lrt.add_argument("--alt-config", required=True, type=_parse_config_triple)
+    p_lrt.add_argument("--null-config", required=True, type=_config_triple)
+    p_lrt.add_argument("--alt-config", required=True, type=_config_triple)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from a parsed namespace; options left unset keep RunConfig's defaults."""
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None})
-    if args.seed is None:
-        cfg.seed = _default_seed()
-    if cfg.command == "sample" and cfg.chains < 1:
-        raise ConfigError("--chains must be >= 1")
-    return cfg
-
-
 def main(argv=None) -> int:
+    """Parse argv, run the subcommand it names and return the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        cfg = config_from_args(args)
+        if args.seed is None:
+            args.seed = _default_seed()
+        os.makedirs(args.out, exist_ok=True)
+        args.func(args)
+        return EXIT_OK
     except ConfigError as exc:
         _emit_error("config", str(exc))
         return EXIT_CONFIG
-    return run(cfg)
+    except (ExtremeFitError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        _emit_error("numerical", str(exc))
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":  # pragma: no cover

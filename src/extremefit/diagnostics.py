@@ -175,13 +175,12 @@ def posterior_summary(chains, spec: ModelSpec) -> list[SummaryRow]:
     return rows
 
 
-def dic(chains, spec: ModelSpec, priors=None) -> float:
+def dic(chains, spec: ModelSpec) -> float:
     """Deviance information criterion D(theta_bar) + 2 p_D.
 
     Uses the classical effective-parameter count
-    p_D = mean(D(theta)) - D(theta_bar) with deviance D = 2 * nll. The
-    (optional) priors argument is accepted for interface symmetry with the
-    samplers; the deviance itself is likelihood-only.
+    p_D = mean(D(theta)) - D(theta_bar) with deviance D = 2 * nll, which is
+    likelihood-only.
     """
     pooled = np.vstack([np.asarray(getattr(c, "samples", c), dtype=float)
                         for c in chains])

@@ -32,10 +32,8 @@ import numpy as np
 
 from .distributions import EvdFamily
 from .errors import DomainError, FitError, InitializationError
-from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, param_dim
-from .numerics import RngState
+from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, param_dim, realize
 
-_JITTER_SEED = 202406
 _HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
 _EIG_FLOOR = 1e-10    # smallest |eigenvalue| of the scaled Hessian, relative to the largest
 _ARMIJO = 1e-4
@@ -234,9 +232,11 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
 
 
 def default_start(spec: ModelSpec) -> np.ndarray:
-    """Stationary L-moment estimates with zero covariate slopes.
+    """Stationary L-moment estimates with zero covariate slopes, inside the support.
 
-    A GPD threshold starts at 0, where infer_bounds pins it.
+    A GPD threshold starts at 0, where infer_bounds pins it. The shape is
+    shrunk toward 0 when the L-moment point leaves an observation outside
+    the support (see _into_support).
     """
     est = spec.lmoment_estimate
     a, b, c = spec.config
@@ -245,7 +245,28 @@ def default_start(spec: ModelSpec) -> np.ndarray:
     theta.extend([0.0] * b)
     theta.append(min(max(est.shape, -0.45), 0.45))
     theta.extend([0.0] * c)
-    return np.array(theta)
+    return _into_support(spec, np.array(theta))
+
+
+def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
+    """theta with its shape coefficients scaled so that every 1 + xi_t z_t > 0.
+
+    When some observation has 1 + xi_t z_t <= 0, with z_t = (x_t - mu_t) /
+    sigma_t, the shape coefficients are multiplied by 0.5 / max(-xi_t z_t),
+    which leaves every 1 + xi_t z_t >= 0.5. Any other theta is returned as it
+    is. GPD data below the threshold stay outside the support whatever the
+    shape.
+    """
+    a, b, _ = spec.config
+    if b == 0 and not theta[a + 1] > 0:
+        return theta  # no shape puts data inside a support with scale <= 0
+    loc, scale, shape = realize(spec, theta)
+    worst = float(np.max(-shape * (spec.data - loc) / scale))
+    if not worst >= 1.0:
+        return theta
+    out = theta.copy()
+    out[a + b + 2:] *= 0.5 / worst
+    return out
 
 
 def _clip_into(x: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -347,11 +368,12 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     """Maximum-likelihood fit of the packed parameter vector.
 
     x0 defaults to the stationary L-moment estimates with zero slopes and
-    bounds to infer_bounds(spec); pinned coordinates stay at their bound. If
-    the nll is infinite at the start, up to 20 deterministic fallback
-    jitters (shrinking the shape, inflating the scale) are tried before
-    giving up. Projected Newton (see the module docstring) stops once the
-    Newton decrement is at most tol. max_iter caps its iterations (default
+    bounds to infer_bounds(spec); pinned coordinates stay at their bound. A
+    start that leaves an observation outside the support has its shape
+    shrunk toward 0 (see _into_support); FitError is raised if the nll is
+    still infinite there, as when GPD data lie below a pinned threshold or
+    the bounds hold the shape. Projected Newton (see the module docstring)
+    stops once the Newton decrement is at most tol. max_iter caps its iterations (default
     100); a fit that hits it, or stops because the Hessian is not finite or
     no step lowers the nll, returns its best point with converged=False.
     """
@@ -365,29 +387,11 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     x0 = _clip_into(np.asarray(x0, dtype=float), bounds)
     max_iter = _NEWTON_ITER if max_iter is None else int(max_iter)
 
-    start, f_start = x0, neg_log_likelihood(spec, x0)
+    start = _clip_into(_into_support(spec, x0), bounds)
+    f_start = neg_log_likelihood(spec, start)
     if not math.isfinite(f_start):
-        a, b, _ = spec.config
-        scale_idx = a + 1
-        shape_idx = a + b + 2
-        found = False
-        for attempt in range(20):
-            cand = x0.copy()
-            cand[shape_idx] *= 0.5 ** (attempt + 1)
-            if b == 0:
-                cand[scale_idx] *= 1.25 ** (attempt + 1)
-            else:
-                cand[scale_idx] += 0.25 * (attempt + 1)
-            rng = RngState(_JITTER_SEED, attempt)
-            cand += 0.05 * rng.normals(dim) * np.maximum(np.abs(x0), 0.1)
-            cand = _clip_into(cand, bounds)
-            f_start = neg_log_likelihood(spec, cand)
-            if math.isfinite(f_start):
-                start = cand
-                found = True
-                break
-        if not found:
-            raise FitError("no finite starting point found after 20 jitter attempts")
+        raise FitError("the nll is not finite at the start, even with the shape shrunk "
+                       "into the support")
 
     width = bounds.hi - bounds.lo
     free = ~bounds.pinned

@@ -343,6 +343,18 @@ class TestSample:
         assert abs(loc["mean"]) <= 1e-8
 
 
+    def test_gpd_lmoment_start_outside_support(self, tmp_path):
+        # the L-moment shape puts max(x) above the upper endpoint; the start shrinks it
+        u = np.random.default_rng(14).random(50)
+        x = ((1.0 - u) ** 0.2 - 1.0) / -0.2
+        (tmp_path / "g.csv").write_text("value\n" + "".join(f"{v:.17g}\n" for v in x))
+        res = run_cli(["sample", "--input", "g.csv", "--dist", "gpd", "--num-samples", "50",
+                       "--chains", "1", "--seed", "1", "--out", "gs"], tmp_path)
+        assert res.returncode == EXIT_OK, res.stderr
+        summary = json.loads((tmp_path / "gs" / "summary.json").read_text())
+        assert summary["steps_source"] == "mle"
+
+
 class TestLrtCommand:
     def test_schema(self, tmp_path, sim_csv):
         res = run_cli(
@@ -399,3 +411,26 @@ class TestArgumentErrors:
     def test_main_returns_codes(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("sample", "--num-samples", "0"),
+        ("sample", "--thin", "0"),
+        ("sample", "--burn-in", "-1"),
+        ("sample", "--temp", "0"),
+        ("sample", "--temp", "inf"),
+        ("sample", "--eps", "0"),
+        ("sample", "--leapfrog", "0"),
+        ("sample", "--return-period", "1"),
+        ("sample", "--chains", "0"),
+        ("fit", "--return-period", "1"),
+        ("simulate", "--n", "0"),
+    ])
+    def test_out_of_range_value_exits_before_any_output(self, tmp_path, capsys, sim_csv,
+                                                          command, option, value):
+        given = ["--true-params", "0,1,0"] if command == "simulate" else ["--input", str(sim_csv)]
+        out = tmp_path / "bad"
+        assert main([command, *given, option, value, "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert option in err["message"]
+        assert not out.exists()

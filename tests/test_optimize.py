@@ -193,6 +193,50 @@ class TestFitMle:
             fit_mle(spec, bounds=Bounds([0.0], [1.0]))
 
 
+class TestStartInSupport:
+    @staticmethod
+    def _lmoment_point(spec):
+        est = spec.lmoment_estimate
+        return np.array([est.loc, est.scale, min(max(est.shape, -0.45), 0.45)])
+
+    def test_feasible_start_is_kept_exactly(self):
+        spec = _gev_spec(n=300, seed=411)
+        start = default_start(spec)
+        assert np.array_equal(start, self._lmoment_point(spec))
+        assert np.array_equal(fit_mle(spec, start, max_iter=0).theta_hat, start)
+
+    def test_gev_trend_series(self):
+        # the stationary L-moment start puts the lower endpoint above min(x)
+        rng = np.random.default_rng(2)
+        rng.random(200)
+        u = rng.random(200)
+        t = np.linspace(1.4e9, 1.75e9, 200)
+        x = 10.0 + np.exp(-7.0 + 5e-9 * t) * ((-np.log(u)) ** -0.1 - 1.0) / 0.1
+        fits = []
+        for cov in (t - t.mean(), t):
+            spec = ModelSpec(data=x, covariates=cov.reshape(-1, 1), config=(0, 1, 0),
+                             family=GEV)
+            est = spec.lmoment_estimate
+            raw = np.array([est.loc, math.log(est.scale), 0.0, est.shape])
+            assert neg_log_likelihood(spec, raw) == math.inf
+            assert math.isfinite(neg_log_likelihood(spec, default_start(spec)))
+            fits.append(fit_mle(spec))
+        assert all(f.converged for f in fits)
+        assert fits[0].nll_min == pytest.approx(491.4485, abs=1e-4)
+        assert fits[0].nll_min == pytest.approx(fits[1].nll_min, abs=1e-6)
+
+    def test_gpd_series_above_the_upper_endpoint(self):
+        u = np.random.default_rng(14).random(50)
+        x = ((1.0 - u) ** 0.2 - 1.0) / -0.2
+        spec = ModelSpec(data=x, covariates=None, config=(0, 0, 0), family=EvdFamily.GPD)
+        assert neg_log_likelihood(spec, self._lmoment_point(spec) * [0, 1, 1]) == math.inf
+        start = default_start(spec)
+        assert math.isfinite(neg_log_likelihood(spec, start))
+        fit = fit_mle(spec)
+        assert fit.converged
+        assert fit.nll_min <= neg_log_likelihood(spec, start)
+
+
 class TestBoundsJson:
     def test_round_trip(self, tmp_path):
         b = Bounds([-1.0, 0.0], [1.0, 10.0])
