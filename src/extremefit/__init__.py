@@ -40,6 +40,7 @@ from .model import (
     RealizedParams,
     grad_neg_log_likelihood,
     neg_log_likelihood,
+    nll_and_grad,
     param_dim,
     param_names,
     realize,
@@ -47,7 +48,14 @@ from .model import (
 )
 from .numerics import RngState, central_diff_grad, chi2_sf, lgamma, reg_lower_inc_gamma
 from .optimize import Bounds, FitResult, fit_mle, infer_bounds, nelder_mead
-from .priors import PriorComponent, PriorSet, default_priors, grad_log_prior, log_prior
+from .priors import (
+    PriorComponent,
+    PriorSet,
+    default_priors,
+    grad_log_prior,
+    log_prior,
+    log_prior_and_grad,
+)
 from .samplers import (
     Chain,
     Target,
@@ -99,12 +107,14 @@ __all__ = [
     "leapfrog",
     "lgamma",
     "log_prior",
+    "log_prior_and_grad",
     "logpdf",
     "lrt",
     "mala",
     "mh_random_walk",
     "neg_log_likelihood",
     "nelder_mead",
+    "nll_and_grad",
     "param_dim",
     "param_names",
     "posterior_summary",

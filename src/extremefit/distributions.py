@@ -25,6 +25,14 @@ inverse ``expm1(xi w) / xi``. For ``|xi z| < 1e-2`` the ratios L, M and
 exponential limits (Coles 2001, sections 3.1.3 and 4.2.2) and small xi
 loses no accuracy to cancellation (M's closed form loses about
 ``5e-16 / |y|`` relative, which sets the switch point).
+
+One pass per point
+------------------
+``logpdf_values`` and ``grad_logpdf_values`` check their arguments and call
+one private pass, ``_terms``, which computes z, the support mask, h and
+exp(-h) once and returns the log-density, the gradient or both. The model
+calls it directly, on parameters it has already checked, so a log-density
+and its gradient at one point cost one pass, not two.
 """
 
 from __future__ import annotations
@@ -72,18 +80,22 @@ def _check_scale(scale) -> None:
         raise DomainError("scale parameter must be finite and > 0")
 
 
+def _arrays(x, loc, scale, shape):
+    """The arguments as float arrays, once the scale is checked."""
+    _check_scale(scale)
+    return tuple(np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
+
+
 def _standardize(family: EvdFamily, x, loc, scale, shape):
-    """Return (z, scale, shape, inside) with z NaN outside the support.
+    """Return (z, inside) for checked arrays, with z NaN outside the support.
 
     The ufuncs broadcast the arguments; z and inside have the full shape.
     """
-    _check_scale(scale)
-    x, loc, scale, shape = (np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
     z = (x - loc) / scale
     inside = shape * z > -1.0
     if family is EvdFamily.GPD:
         inside &= z >= 0
-    return np.where(inside, z, np.nan), scale, shape, inside
+    return np.where(inside, z, np.nan), inside
 
 
 def _ratio(coefs, factor, numerator, xi, y) -> np.ndarray:
@@ -97,10 +109,41 @@ def _ratio(coefs, factor, numerator, xi, y) -> np.ndarray:
     return out
 
 
-def _h(xi, z) -> np.ndarray:
-    """h = log1p(xi z) / xi."""
+def _h(xi, z):
+    """h = log1p(xi z) / xi, and y = xi z."""
     y = xi * z
-    return _ratio(_L_COEF, z, np.log1p(y), xi, y)
+    return _ratio(_L_COEF, z, np.log1p(y), xi, y), y
+
+
+def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
+    """One kernel pass over checked arrays: z, the support, h and exp(-h) once.
+
+    Returns (log-density, gradient): the log-density (-inf outside the
+    support) when value, the (d/dloc, d/dscale, d/dshape) triple (NaN outside
+    the support) when grad, and None for a part not asked for.
+    """
+    z, inside = _standardize(family, x, loc, scale, shape)
+    h, y = _h(shape, z)
+    if family is EvdFamily.GEV:
+        with np.errstate(over="ignore"):
+            exp_h = np.exp(-h)
+    logpdf = parts = None
+    if value:
+        out = -np.log(scale) - (1.0 + shape) * h
+        if family is EvdFamily.GEV:
+            out -= exp_h
+        logpdf = np.where(inside, out, -np.inf)
+    if grad:
+        inv_t = 1.0 / (1.0 + y)  # dh/dz
+        dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
+        dlp_dh = -(1.0 + shape)
+        if family is EvdFamily.GEV:
+            dlp_dh = dlp_dh + exp_h
+        gmu = -dlp_dh * inv_t / scale
+        gsig = -(1.0 + dlp_dh * z * inv_t) / scale
+        gxi = dlp_dh * dh_dxi - h
+        parts = gmu, gsig, gxi
+    return logpdf, parts
 
 
 def logpdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
@@ -109,13 +152,7 @@ def logpdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     All arguments broadcast against each other. The caller guarantees
     scale > 0 (violations raise DomainError rather than returning -inf).
     """
-    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
-    h = _h(shape, z)
-    out = -np.log(scale) - (1.0 + shape) * h
-    if family is EvdFamily.GEV:
-        with np.errstate(over="ignore"):
-            out -= np.exp(-h)
-    return np.where(inside, out, -np.inf)
+    return _terms(family, *_arrays(x, loc, scale, shape), value=True, grad=False)[0]
 
 
 def logpdf(family: EvdFamily, x: float, p: ParamTriple) -> float:
@@ -127,7 +164,7 @@ def quantile_values(family: EvdFamily, p_nonexceed, loc, scale, shape) -> np.nda
     """Vectorized quantile (inverse CDF) at non-exceedance probability p."""
     _check_scale(scale)
     p = np.asarray(p_nonexceed, dtype=float)
-    if np.any(p <= 0) or np.any(p >= 1):
+    if not ((p > 0) & (p < 1)).all():  # a NaN p fails too
         raise DomainError("non-exceedance probability must lie strictly in (0, 1)")
     loc, scale, shape = (np.asarray(v, dtype=float) for v in (loc, scale, shape))
     # standard Gumbel / exponential quantile, i.e. h at the answer
@@ -147,15 +184,16 @@ def quantile(family: EvdFamily, p_nonexceed: float, params: ParamTriple) -> floa
 
 def cdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     """Vectorized CDF (clamped to [0, 1] outside the support)."""
-    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
-    h = _h(shape, z)
+    x, loc, scale, shape = _arrays(x, loc, scale, shape)
+    z, inside = _standardize(family, x, loc, scale, shape)
+    h, _ = _h(shape, z)
     if family is EvdFamily.GEV:
         with np.errstate(over="ignore"):
             out = np.exp(-np.exp(-h))
     else:
         out = -np.expm1(-h)
     # outside the support: 1 beyond a finite upper endpoint (xi < 0), else 0
-    return np.where(inside, out, (shape < 0) & (np.asarray(x, dtype=float) >= loc))
+    return np.where(inside, out, (shape < 0) & (x >= loc))
 
 
 def cdf(family: EvdFamily, x: float, params: ParamTriple) -> float:
@@ -181,19 +219,7 @@ def grad_logpdf_values(family: EvdFamily, x, loc, scale, shape):
     Entries outside the support are NaN, so a caller that needs interior
     points checks the result for non-finite entries.
     """
-    z, scale, shape, inside = _standardize(family, x, loc, scale, shape)
-    h = _h(shape, z)
-    y = shape * z
-    inv_t = 1.0 / (1.0 + y)  # dh/dz
-    dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
-    dlp_dh = -(1.0 + shape)
-    if family is EvdFamily.GEV:
-        with np.errstate(over="ignore"):
-            dlp_dh = dlp_dh + np.exp(-h)
-    gmu = -dlp_dh * inv_t / scale
-    gsig = -(1.0 + dlp_dh * z * inv_t) / scale
-    gxi = dlp_dh * dh_dxi - h
-    return gmu, gsig, gxi
+    return _terms(family, *_arrays(x, loc, scale, shape), value=False, grad=True)[1]
 
 
 def grad_logpdf(family: EvdFamily, x: float, p: ParamTriple) -> np.ndarray:

@@ -17,12 +17,15 @@ per parameter instead.
 
 Batch axis
 ----------
-``realize``, ``neg_log_likelihood`` and ``grad_neg_log_likelihood`` take
-theta of shape (d,) or (K, d). A (d,) theta gives what it always gave: a
-float nll, or a (d,) gradient that raises DomainError where the nll is
-infinite. A (K, d) theta gives one result per row: a (K,) nll that reads
-+inf for a row outside the support or with scale <= 0, and a (K, d)
-gradient with NaN rows there. Every row is bit-identical to the (d,) call
+``realize``, ``neg_log_likelihood``, ``grad_neg_log_likelihood`` and
+``nll_and_grad`` take theta of shape (d,) or (K, d). A (d,) theta gives what
+it always gave: a float nll, or a (d,) gradient that raises DomainError
+where the nll is infinite (``nll_and_grad`` gives a NaN gradient there). A
+(K, d) theta gives one result per row: a (K,) nll that reads +inf for a row
+outside the support or with scale <= 0, and a (K, d) gradient with NaN rows
+there. The three nll functions share one private pass through the kernel,
+so ``nll_and_grad`` equals the separate calls bit for bit and costs little
+more than the gradient alone. Every row is bit-identical to the (d,) call
 on that row, whatever K: the design products are stacked matmuls
 ``x @ v[..., None]`` (one matrix-vector product per row, measured to match a
 lone ``x @ v`` bit for bit, where a plain (K, d) gemm does not) and the sums
@@ -32,18 +35,14 @@ DomainError in either form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (
-    EvdFamily,
-    ParamTriple,
-    grad_logpdf_values,
-    logpdf_values,
-)
+from .distributions import EvdFamily, ParamTriple, _terms
 from .errors import DomainError
 from .lmoments import stationary_estimate
 
@@ -240,10 +239,10 @@ def realize(spec: ModelSpec, theta) -> RealizedParams:
 def _checked_params(spec: ModelSpec, theta: np.ndarray):
     """Realized parameters of a checked theta and the mask of rows with a finite scale > 0.
 
-    The other rows get the placeholder scale 1, so the kernel does not raise
-    on them, and callers overwrite their results. A non-finite loc or shape
-    needs no check here: the kernel turns it into a non-finite value, which
-    the callers' final finiteness check catches.
+    The other rows get the placeholder scale 1, so the kernel computes
+    nothing undefined on them, and _nll_terms overwrites their results. A
+    non-finite loc or shape needs no check here: the kernel turns it into a
+    non-finite value, which the final finiteness checks catch.
     """
     loc, scale, shape = _realize(spec, theta)
     ok = ((scale > 0) & (scale < np.inf)).all(axis=-1)
@@ -252,43 +251,68 @@ def _checked_params(spec: ModelSpec, theta: np.ndarray):
     return RealizedParams(loc, scale, shape), ok
 
 
+def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool):
+    """Per-row nll and gradient of a checked theta from one kernel pass; None if not asked.
+
+    The nll is +inf on a row outside the support, with a scale not finite and
+    > 0, or with a non-finite kernel sum. The gradient is a NaN row on a row
+    with such a scale, or whose gradient is not finite, or (when value is
+    asked too) whose nll is +inf; every other row is finite. For the
+    log-linear scale the inner derivative multiplies by sigma_t; identity
+    links pass covariates straight through.
+    """
+    (loc, scale, shape), ok = _checked_params(spec, theta)
+    logpdf, parts = _terms(spec.family, spec.data, loc, scale, shape, value, grad)
+    nll = g = None
+    if value:
+        total = logpdf.sum(axis=-1)
+        ok = ok & np.isfinite(total)
+        nll = np.where(ok, -total, np.inf)
+    if grad:
+        gmu, gsig, gxi = parts
+        x_loc, x_scale, x_shape = spec._designs
+        if spec.config[1] == 0:
+            g_gamma = gsig.sum(axis=-1, keepdims=True)
+        else:
+            g_gamma = _matvec(x_scale.T, gsig * scale)
+        g = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
+                            axis=-1)
+        bad = ~(ok & np.isfinite(g).all(axis=-1))
+        if bad.any():
+            g[bad] = np.nan
+    return nll, g
+
+
+def _scalar(nll):
+    return float(nll) if nll.ndim == 0 else nll
+
+
 def neg_log_likelihood(spec: ModelSpec, theta):
     """Joint negative log-likelihood; +inf outside the support, never NaN.
 
     A (K, d) theta gives a (K,) array, one nll per row.
     """
-    params, ok = _checked_params(spec, _check_theta(spec, theta))
-    total = logpdf_values(spec.family, spec.data, *params).sum(axis=-1)
-    nll = np.where(ok & np.isfinite(total), -total, np.inf)
-    return float(nll) if nll.ndim == 0 else nll
+    return _scalar(_nll_terms(spec, _check_theta(spec, theta), value=True, grad=False)[0])
 
 
 def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
     """Analytic gradient of the nll via the chain rule over the links.
 
-    Requires a finite nll at theta: a (d,) theta where the kernel gives a
-    non-finite entry (outside the support) or where the scale is not > 0
-    raises DomainError; a (K, d) theta gets NaN rows there. For the
-    log-linear scale the inner derivative multiplies by sigma_t; identity
-    links pass covariates straight through.
+    Requires a finite nll and a finite gradient at theta: a (d,) theta where
+    either is not raises DomainError; a (K, d) theta gets NaN rows there.
     """
-    theta = _check_theta(spec, theta)
-    if theta.ndim == 1:  # the kernel raises DomainError unless the scale is finite and > 0
-        (loc, scale, shape), ok = _realize(spec, theta), True
-    else:
-        (loc, scale, shape), ok = _checked_params(spec, theta)
-    gmu, gsig, gxi = grad_logpdf_values(spec.family, spec.data, loc, scale, shape)
-    x_loc, x_scale, x_shape = spec._designs
-    if spec.config[1] == 0:
-        g_gamma = gsig.sum(axis=-1, keepdims=True)
-    else:
-        g_gamma = _matvec(x_scale.T, gsig * scale)
-    grad = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
-                           axis=-1)
-    ok = ok & np.isfinite(grad).all(axis=-1)
-    if grad.ndim == 1:
-        if not ok:
-            raise DomainError("nll is infinite at theta; gradient undefined")
-    elif not ok.all():
-        grad[~ok] = np.nan
-    return grad
+    g = _nll_terms(spec, _check_theta(spec, theta), value=False, grad=True)[1]
+    if g.ndim == 1 and math.isnan(g[0]):  # a row is NaN throughout or finite
+        raise DomainError("nll is infinite at theta; gradient undefined")
+    return g
+
+
+def nll_and_grad(spec: ModelSpec, theta):
+    """(neg_log_likelihood, gradient) at theta from one kernel pass.
+
+    Both equal the separate calls bit for bit, except that the gradient is a
+    NaN row, not a DomainError, wherever the nll is +inf or the gradient is
+    not finite, for a (d,) theta as for a (K, d) one.
+    """
+    nll, g = _nll_terms(spec, _check_theta(spec, theta), value=True, grad=True)
+    return _scalar(nll), g

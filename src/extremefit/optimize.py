@@ -24,6 +24,7 @@ derivative-free minimizer for any objective.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -76,7 +77,9 @@ class FitResult:
     """A minimum and how it was reached.
 
     n_evals counts objective evaluations (for fit_mle, nll evaluations plus
-    gradient rows).
+    gradient rows). termination names why the minimizer stopped: "converged"
+    or "max_iter", and for fit_mle also "hessian_not_finite" or
+    "no_descent_step".
     """
 
     theta_hat: np.ndarray
@@ -84,6 +87,7 @@ class FitResult:
     converged: bool
     n_evals: int
     std_errors: np.ndarray | None = None
+    termination: str = ""
 
 
 def nelder_mead(f, x0, bounds: Bounds | None = None, tol: float = 1e-8,
@@ -181,6 +185,7 @@ def nelder_mead(f, x0, bounds: Bounds | None = None, tol: float = 1e-8,
         nll_min=float(values[0]),
         converged=converged,
         n_evals=evals,
+        termination="converged" if converged else "max_iter",
     )
 
 
@@ -304,16 +309,17 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
             free: np.ndarray, scale: np.ndarray, tol: float, max_iter: int):
     """Projected damped Newton from theta, where the nll is f.
 
-    Returns (theta, nll, converged, Hessian over the free coordinates at theta
-    or None when it is not finite, evaluations).
+    Returns (theta, nll, termination, Hessian over the free coordinates at
+    theta or None when it is not finite, evaluations); termination is one of
+    FitResult's four reasons.
     """
     lo, hi = bounds.lo, bounds.hi
     evals = 0
-    for it in range(max_iter + 1):
+    for it in itertools.count():
         g, hess = _curvature(spec, theta, free, _HESS_STEP * scale)
         evals += 2 * int(free.sum()) + 1
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
-            return theta, f, False, None, evals
+            return theta, f, "hessian_not_finite", None, evals
         move = free & ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
         step = np.zeros_like(theta)
         while move.any():
@@ -328,9 +334,9 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
             move &= ~out
         decrement = -float(g @ step)
         if decrement <= tol:
-            return theta, f, True, hess, evals
-        if it == max_iter:
-            break
+            return theta, f, "converged", hess, evals
+        if it >= max_iter:
+            return theta, f, "max_iter", hess, evals
         alpha, moved = 1.0, False
         for _ in range(_HALVINGS):  # Armijo backtracking along the projection arc
             cand = np.clip(theta + alpha * step, lo, hi)
@@ -343,8 +349,7 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
                 break
             alpha *= 0.5
         if not moved:
-            break
-    return theta, f, False, hess, evals
+            return theta, f, "no_descent_step", hess, evals
 
 
 def _std_errors(hess, free: np.ndarray, scale: np.ndarray):
@@ -375,7 +380,8 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     the bounds hold the shape. Projected Newton (see the module docstring)
     stops once the Newton decrement is at most tol. max_iter caps its iterations (default
     100); a fit that hits it, or stops because the Hessian is not finite or
-    no step lowers the nll, returns its best point with converged=False.
+    no step lowers the nll, returns its best point with converged=False, and
+    FitResult.termination names which of the four exits it took.
     """
     if bounds is None:
         bounds = infer_bounds(spec)
@@ -396,10 +402,11 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     width = bounds.hi - bounds.lo
     free = ~bounds.pinned
     scale = np.where(np.isfinite(width), width, 1.0)
-    theta, f, converged, hess, evals = _newton(spec, start, f_start, bounds, free, scale, tol,
-                                               max_iter)
-    return FitResult(theta_hat=theta, nll_min=float(f), converged=converged, n_evals=evals,
-                     std_errors=_std_errors(hess, free, scale))
+    theta, f, termination, hess, evals = _newton(spec, start, f_start, bounds, free, scale,
+                                                 tol, max_iter)
+    return FitResult(theta_hat=theta, nll_min=float(f), converged=termination == "converged",
+                     n_evals=evals, std_errors=_std_errors(hess, free, scale),
+                     termination=termination)
 
 
 def bounds_to_json(bounds: Bounds) -> dict:

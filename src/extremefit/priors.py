@@ -117,21 +117,38 @@ def _in_support(x, lo, hi):
     return ((x >= lo) & (x <= hi)).all(axis=-1)
 
 
+def _prior_terms(priors: PriorSet, theta: np.ndarray, value: bool, grad: bool):
+    """log_prior and its gradient at a length-checked theta in one pass; None if not asked.
+
+    Gradient rows where theta is not finite or outside a uniform support are NaN.
+    """
+    normal, mean, sd, const, unif, lo, hi, unif_const = priors._packed
+    diff = theta[..., normal] - mean
+    inside = _in_support(theta[..., unif], lo, hi) if unif.size else True
+    out = g = None
+    if value:
+        out = 0.0
+        if normal.size:
+            out += (const - 0.5 * (diff / sd) ** 2).sum(axis=-1)
+        if unif.size:
+            out = np.where(inside, out + unif_const, -math.inf)
+        out = float(out) if theta.ndim == 1 else out
+    if grad:
+        g = np.zeros_like(theta)
+        g[..., normal] = -diff / sd**2
+        ok = np.isfinite(theta).all(axis=-1) & inside
+        if not ok.all():
+            g[~ok] = np.nan
+    return out, g
+
+
 def log_prior(priors: PriorSet, theta):
     """Sum of component log-densities; -inf outside any uniform support.
 
     A (K, d) theta gives a (K,) array, each row bit-identical to the (d,)
     call on it.
     """
-    theta = _check_len(priors, theta)
-    normal, mean, sd, const, unif, lo, hi, unif_const = priors._packed
-    out = 0.0
-    if normal.size:
-        resid = (theta[..., normal] - mean) / sd
-        out += (const - 0.5 * resid**2).sum(axis=-1)
-    if unif.size:
-        out = np.where(_in_support(theta[..., unif], lo, hi), out + unif_const, -math.inf)
-    return float(out) if theta.ndim == 1 else out
+    return _prior_terms(priors, _check_len(priors, theta), value=True, grad=False)[0]
 
 
 def grad_log_prior(priors: PriorSet, theta) -> np.ndarray:
@@ -140,19 +157,20 @@ def grad_log_prior(priors: PriorSet, theta) -> np.ndarray:
     A (d,) theta that is not raises DomainError; a (K, d) theta gets NaN
     rows there.
     """
-    theta = _check_len(priors, theta)
-    normal, mean, sd, _, unif, lo, hi, _ = priors._packed
-    grad = np.zeros_like(theta)
-    grad[..., normal] = -(theta[..., normal] - mean) / sd**2
-    ok = np.isfinite(theta).all(axis=-1)
-    if unif.size:
-        ok = ok & _in_support(theta[..., unif], lo, hi)
-    if grad.ndim == 1:
-        if not ok:
-            raise DomainError("log prior is -inf at theta; gradient undefined")
-    elif not ok.all():
-        grad[~ok] = np.nan
-    return grad
+    g = _prior_terms(priors, _check_len(priors, theta), value=False, grad=True)[1]
+    if g.ndim == 1 and np.isnan(g).all():  # _prior_terms's NaN row
+        raise DomainError("log prior is -inf at theta; gradient undefined")
+    return g
+
+
+def log_prior_and_grad(priors: PriorSet, theta):
+    """(log_prior, grad_log_prior) at theta in one pass.
+
+    Both equal the separate calls bit for bit, except that the gradient is a
+    NaN row, not a DomainError, where grad_log_prior's is undefined, for a
+    (d,) theta as for a (K, d) one.
+    """
+    return _prior_terms(priors, _check_len(priors, theta), value=True, grad=True)
 
 
 def priors_to_json(priors: PriorSet) -> list[dict]:

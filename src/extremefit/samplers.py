@@ -12,9 +12,13 @@ T < 1 sharpens it.
 
 One loop, ``sample_chains``, runs K chains in lockstep as one (K, d) state
 with one target call per step; ``mh_random_walk``, ``mala`` and ``hmc`` are its
-K = 1 calls. Chain k draws d normals, then one uniform, per iteration from its
-own RngState, so with a target whose rows do not depend on K
-(``posterior_target``) each chain is bit-identical to that chain run alone.
+K = 1 calls. Each point is evaluated once: rw calls ``log_post`` once per
+iteration, mala calls ``value_and_grad`` once per iteration, and hmc with L
+leapfrog steps calls ``grad_log_post`` L - 1 times and ``value_and_grad``
+once at the trajectory's end. Chain k draws d normals, then one uniform,
+per iteration from its own RngState, so with a target whose rows do not
+depend on K (``posterior_target``) each chain is bit-identical to that
+chain run alone.
 
 Conventions shared by the kernels:
 
@@ -32,25 +36,33 @@ Conventions shared by the kernels:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InitializationError
-from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood
+from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, nll_and_grad
 from .numerics import RngState
-from .priors import PriorSet, grad_log_prior, log_prior
+from .priors import PriorSet, grad_log_prior, log_prior, log_prior_and_grad
 
 
 @dataclass
 class Target:
-    """Log-posterior (and optional gradient) plus a tuning temperature."""
+    """Log-posterior (and optional gradient) plus a tuning temperature.
+
+    value_and_grad, when given, returns (log_post(theta), grad_log_post(theta))
+    from one call; the gradient may be NaN where the log-posterior is -inf.
+    mala and hmc call it at the start and at each trajectory's end, in place of
+    the two callables. A target without it gets one made of the two, which
+    takes the gradient only where the log-posterior is above -inf.
+    """
 
     log_post: Callable[[np.ndarray], float]
     grad_log_post: Callable[[np.ndarray], np.ndarray] | None = None
     temperature: float = 1.0
+    value_and_grad: Callable[[np.ndarray], tuple] | None = None
 
 
 @dataclass
@@ -72,9 +84,11 @@ class Chain:
 def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0) -> Target:
     """Bundle -nll + log_prior (and its gradient) for the samplers.
 
-    Both callables take theta of shape (d,) or (K, d), a row of a batch
+    The callables take theta of shape (d,) or (K, d), a row of a batch
     bit-identical to the (d,) call on it. The gradient is NaN outside the
     support instead of raising, so that integrators can flag divergences.
+    value_and_grad equals (log_post, grad_log_post) bit for bit from one
+    pass through the likelihood and one through the prior.
     """
 
     def log_post(theta: np.ndarray):
@@ -89,12 +103,38 @@ def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0
         except DomainError:
             return np.full(np.shape(theta), np.nan)
 
-    return Target(log_post=log_post, grad_log_post=grad, temperature=temperature)
+    def value_and_grad(theta: np.ndarray):
+        lp, g = log_prior_and_grad(priors, theta)
+        if np.ndim(lp) == 0 and lp == -math.inf:  # as in log_post
+            return -math.inf, np.full(np.shape(theta), np.nan)
+        nll, g_nll = nll_and_grad(spec, theta)
+        return lp - nll, g - g_nll
+
+    return Target(log_post, grad, temperature, value_and_grad)
 
 
 def _rowwise(fn):
     """A (d,) -> value callable lifted to (1, d) -> (1, ...); None stays None."""
     return fn and (lambda theta: np.asarray(fn(theta[0]), dtype=float)[None])
+
+
+def _rowwise_pair(fn):
+    """_rowwise for a callable that returns a (value, gradient) pair."""
+    return fn and (lambda theta: tuple(np.asarray(v, dtype=float)[None] for v in fn(theta[0])))
+
+
+def _value_and_grad(log_post, grad):
+    """value_and_grad made of two callables.
+
+    The gradient is taken on the rows whose log_post is above -inf and is NaN
+    on the others.
+    """
+
+    def value_and_grad(theta: np.ndarray):
+        lp = log_post(theta)
+        inside = [k for k, v in enumerate(lp.tolist()) if v > -math.inf]
+        return lp, _on_rows(grad, theta, inside, np.nan, theta.shape)
+    return value_and_grad
 
 
 def _tempered(x, temp: float):
@@ -151,11 +191,15 @@ def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
         # gt holds each row's gradient from its accepted trajectory's end (or the start)
         q, p, rows = _integrate(target.grad_log_post, theta, p0, gt, half, eps, drift,
                                 n_leapfrog, temp)
-        # the end: log-posterior on the rows still moving, gradient where it is finite
-        lp_new = _on_rows(target.log_post, q, rows, -math.inf, len(q))
-        inside = [k for k, v in enumerate(lp_new.tolist()) if v > -math.inf]
-        gt_new = _tempered(_on_rows(target.grad_log_post, q, inside, np.nan, q.shape), temp)
-        p += half * gt_new  # NaN on the rows that stopped, so their ratio is NaN
+        # the end: one value_and_grad call on the rows still moving
+        if isinstance(rows, slice) or len(rows) == len(q):
+            lp_new, g_new = target.value_and_grad(q)
+        else:
+            lp_new, g_new = np.full(len(q), -math.inf), np.full(q.shape, np.nan)
+            if len(rows):
+                lp_new[rows], g_new[rows] = target.value_and_grad(q[rows])
+        gt_new = _tempered(g_new, temp)
+        p += half * gt_new  # NaN on the rows that stopped or left the support: a NaN ratio
         h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - _tempered(lp, temp)
         h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - _tempered(lp_new, temp)
         return h0 - h1, ((theta, q), (lp, lp_new), (gt, gt_new))
@@ -196,7 +240,10 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     and path length. initial_params is one (d,) start or a (K, d) array. With
     K = 1 the target callables get (d,) rows; with K > 1 they get (K, d) states
     and return (K,) log-posteriors (-inf outside the support) and (K, d)
-    gradients (NaN rows where undefined), as ``posterior_target``'s do.
+    gradients (NaN rows where undefined), as ``posterior_target``'s do, and
+    value_and_grad returns the pair. mala and hmc evaluate the start and each
+    trajectory's end by value_and_grad, made of the other two callables when
+    the target has none.
 
     Each chain scales its steps by a multiplier (``Chain.step_scale``): 1 for
     rw and mala, eps for hmc. With target_accept, burn-in adapts each chain's
@@ -228,13 +275,19 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     if np.any(scales <= 0) or not np.all(np.isfinite(scales)):
         raise DomainError("per-coordinate scales must be finite and > 0")
     if n_chains == 1:
-        target = Target(_rowwise(target.log_post), _rowwise(target.grad_log_post), temp)
-    lp = np.array(target.log_post(theta), dtype=float)
+        target = Target(_rowwise(target.log_post), _rowwise(target.grad_log_post), temp,
+                        _rowwise_pair(target.value_and_grad))
+    if kind != "rw" and target.value_and_grad is None:
+        target = replace(target, value_and_grad=_value_and_grad(target.log_post,
+                                                                target.grad_log_post))
+    lp, g = (target.log_post(theta), None) if kind == "rw" else target.value_and_grad(theta)
+    lp = np.array(lp, dtype=float)  # copies: accepted rows write into the state
     if not np.all(np.isfinite(lp)):
         raise InitializationError("log-posterior is not finite at the initial point")
-    g = None if kind == "rw" else np.array(target.grad_log_post(theta), dtype=float)
-    if g is not None and not np.all(np.isfinite(g)):
-        raise InitializationError("gradient is not finite at the initial point")
+    if g is not None:
+        g = np.array(g, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise InitializationError("gradient is not finite at the initial point")
     eps0 = float(eps) if kind == "hmc" else 1.0
     multipliers = np.full((n_chains, 1), eps0)
     if kind == "rw":

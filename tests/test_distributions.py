@@ -126,6 +126,12 @@ class TestQuantile:
         with pytest.raises(DomainError):
             quantile(GEV, 1.0, ParamTriple(0, 1, 0))
 
+    def test_nan_probability_raises(self):
+        with pytest.raises(DomainError):
+            quantile(GPD, math.nan, ParamTriple(0, 1, 0.1))
+        with pytest.raises(DomainError):
+            quantile_values(GEV, np.array([0.5, math.nan]), 10, 2, 0.1)
+
     def test_cdf_inversion(self):
         rng = RngState(55, 0)
         for fam in (GEV, GPD):

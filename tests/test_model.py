@@ -11,12 +11,17 @@ from extremefit import (
     DomainError,
     EvdFamily,
     ModelSpec,
+    PriorComponent,
+    PriorSet,
     central_diff_grad,
+    default_priors,
     fit_mle,
     grad_neg_log_likelihood,
     neg_log_likelihood,
+    nll_and_grad,
     param_dim,
     param_names,
+    posterior_target,
     realize,
     validate_config,
 )
@@ -248,6 +253,53 @@ class TestBatchAxis:
         for kind, value, g in zip(kinds, nll, grad):
             if kind != "inside":
                 assert value == math.inf and np.all(np.isnan(g))
+
+    @given(
+        index=st.integers(0, 5),
+        kinds=st.sampled_from([1, 3, 4]).flatmap(
+            lambda k: st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_fused_rows_match_separate_calls(self, index, kinds, seed):
+        spec, theta = random_model_case(index)
+        rows = batch_rows(spec, theta, kinds, seed)
+        nll, grad = nll_and_grad(spec, rows)
+        assert np.array_equal(nll, neg_log_likelihood(spec, rows))
+        assert np.array_equal(grad, grad_neg_log_likelihood(spec, rows), equal_nan=True)
+        for row, value, g in zip(rows, nll, grad):
+            single_nll, single_grad = nll_and_grad(spec, row)
+            assert type(single_nll) is float and single_nll == value
+            assert np.array_equal(single_grad, g, equal_nan=True)
+            assert np.array_equal(single_grad, _grad_or_nan(spec, row), equal_nan=True)
+            if value == math.inf:  # where the separate gradient raises
+                assert np.all(np.isnan(single_grad))
+                with pytest.raises(DomainError):
+                    grad_neg_log_likelihood(spec, row)
+
+    @given(
+        index=st.integers(0, 5),
+        kinds=st.sampled_from([1, 3, 4]).flatmap(
+            lambda k: st.lists(st.sampled_from(ROW_KINDS), min_size=k, max_size=k)),
+        seed=st.integers(0, 10**6),
+        uniform=st.integers(0, 2),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_posterior_value_and_grad_matches_separate_calls(self, index, kinds, seed, uniform):
+        """value_and_grad equals (log_post, grad_log_post), rows outside a uniform prior too."""
+        spec, theta = random_model_case(index)
+        comps = list(default_priors(spec).components)
+        # a uniform prior 0.01 wide around theta: the 0.01-jittered rows fall
+        # inside it or outside it
+        comps[uniform] = PriorComponent("uniform", theta[uniform] - 0.005,
+                                        theta[uniform] + 0.005)
+        target = posterior_target(spec, PriorSet(tuple(comps)))
+        rows = batch_rows(spec, theta, kinds, seed)
+        for x in [rows] + list(rows):
+            value, grad = target.value_and_grad(x)
+            assert np.array_equal(value, target.log_post(x))
+            assert np.array_equal(grad, target.grad_log_post(x), equal_nan=True)
+            assert np.all(np.isnan(grad[np.asarray(value) == -math.inf]))
 
     def test_realize_rows(self):
         spec, theta = random_model_case(4)  # GEV (1, 1, 1)

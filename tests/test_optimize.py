@@ -366,3 +366,41 @@ class TestNewton:
         for derive in (infer_bounds, default_start, default_priors):
             derive(spec)
         assert len(calls) == 1
+
+
+class TestTermination:
+    """FitResult.termination names which of Newton's four exits a fit took."""
+
+    def test_converged(self):
+        fit = fit_mle(_gev_spec(n=400, seed=406))
+        assert fit.converged and fit.termination == "converged"
+
+    def test_max_iter(self):
+        fit = fit_mle(_gev_spec(n=400, seed=406), max_iter=0)
+        assert not fit.converged and fit.termination == "max_iter"
+
+    def test_hessian_not_finite_with_a_free_gpd_threshold(self):
+        # the likelihood peaks where the threshold meets min(data), on the
+        # support's edge, and the central differences step over it
+        data = sample(EvdFamily.GPD, ParamTriple(0, 2, 0.2), RngState(0, 0), size=60)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GPD)
+        box = infer_bounds(spec)
+        lo, hi = box.lo.copy(), box.hi.copy()
+        lo[0], hi[0] = -1.0, 1.0
+        fit = fit_mle(spec, bounds=Bounds(lo, hi))
+        assert not fit.converged and fit.termination == "hessian_not_finite"
+        assert fit.std_errors is None
+
+    def test_nelder_mead(self):
+        def rosen(x):
+            return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+        assert nelder_mead(rosen, np.array([-1.2, 1.0])).termination == "converged"
+        assert nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5).termination == "max_iter"
+
+    def test_no_descent_step_at_an_optimum(self):
+        spec = _gev_spec(n=60, seed=30)
+        best = fit_mle(spec)
+        fit = fit_mle(spec, x0=best.theta_hat, tol=0.0)
+        assert not fit.converged and fit.termination == "no_descent_step"
+        assert fit.nll_min <= best.nll_min

@@ -374,6 +374,66 @@ class TestHmcGradientCache:
         assert len(calls) == 1 + 20 * 6
 
 
+class TestEvaluationCounts:
+    """Each point is evaluated once: mala and hmc end each trajectory with one value_and_grad."""
+
+    @staticmethod
+    def _counted():
+        data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(31, 0), size=60)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        target = posterior_target(spec, default_priors(spec))
+        calls = {"log_post": 0, "grad_log_post": 0, "value_and_grad": 0}
+
+        def counted(name):
+            fn = getattr(target, name)
+
+            def call(theta):
+                calls[name] += 1
+                return fn(theta)
+            return call
+
+        return Target(*(counted(name) for name in ("log_post", "grad_log_post")),
+                      value_and_grad=counted("value_and_grad")), calls, target
+
+    X0, WIDTHS = np.array([10.0, 2.0, 0.1]), np.array([0.3, 0.25, 0.08])
+
+    @pytest.mark.parametrize("n_chains", [1, 4])
+    def test_mala_one_value_and_grad_per_iteration(self, n_chains):
+        counted, calls, _ = self._counted()
+        chains = sample_chains("mala", counted, 30, self.X0, 0.5 * self.WIDTHS,
+                               [RngState(5, k) for k in range(n_chains)], burn_in=10)
+        assert all(c.acceptance_rate > 0.5 for c in chains)
+        assert calls == {"log_post": 0, "grad_log_post": 0, "value_and_grad": 1 + 40}
+
+    @pytest.mark.parametrize("n_chains", [1, 4])
+    def test_hmc_leapfrog_gradients_and_one_value_and_grad(self, n_chains):
+        counted, calls, _ = self._counted()
+        chains = sample_chains("hmc", counted, 20, self.X0, 1.0 / self.WIDTHS**2,
+                               [RngState(5, k) for k in range(n_chains)], burn_in=0,
+                               eps=0.05, n_leapfrog=6)
+        assert all(c.acceptance_rate > 0.5 for c in chains)
+        assert calls == {"log_post": 0, "grad_log_post": 20 * (6 - 1),
+                         "value_and_grad": 1 + 20}
+
+    def test_rw_one_log_post_per_iteration(self):
+        counted, calls, _ = self._counted()
+        mh_random_walk(counted, 30, self.X0, self.WIDTHS, rng=RngState(5, 0), burn_in=10)
+        assert calls == {"log_post": 1 + 40, "grad_log_post": 0, "value_and_grad": 0}
+
+    @pytest.mark.parametrize("kind", ["mala", "hmc"])
+    def test_two_callable_target_samples_alike(self, kind):
+        _, _, target = self._counted()
+        plain = Target(target.log_post, target.grad_log_post)
+        scales = 0.5 * self.WIDTHS if kind == "mala" else 1.0 / self.WIDTHS**2
+        runs = [sample_chains(kind, t, 30, self.X0, scales, [RngState(6, k) for k in range(3)],
+                              eps=0.3, n_leapfrog=4)
+                for t in (target, plain)]
+        for fused, separate in zip(*runs):
+            assert np.array_equal(fused.samples, separate.samples)
+            assert fused.acceptance_rate == separate.acceptance_rate
+        assert plain.value_and_grad is None  # sample_chains leaves the caller's target as it was
+
+
 class TestLockstep:
     """sample_chains runs K chains in lockstep; chain k equals a lone chain k bit for bit."""
 
