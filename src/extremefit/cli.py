@@ -4,7 +4,11 @@ Subcommands
 -----------
 fit        maximum-likelihood fit; writes result.json
 sample     MCMC sampling (rw | mala | hmc), one trace CSV per chain plus
-           summary.json and optional return_levels.csv
+           summary.json and optional return_levels.csv. Every sampler runs
+           on u, where theta = x0 + F u: F is the Cholesky factor of the
+           MLE covariance with each marginal capped at its prior scale
+           (see _resolve_steps), so the chains follow the fit's
+           correlations; traces and summaries are written in theta.
 simulate   draw synthetic data from given true parameters; writes a CSV
            that feeds straight back into fit/sample
 lrt        likelihood-ratio test of two nested configurations; lrt.json
@@ -12,9 +16,9 @@ lrt        likelihood-ratio test of two nested configurations; lrt.json
 The parsed argparse namespace is the run's configuration: each subparser
 binds its command function, and argparse holds every default. Option values
 are checked when they are parsed: --num-samples, --thin, --chains,
---leapfrog and --n must be >= 1, --burn-in >= 0, --temp and --eps finite
-and > 0, and --return-period finite and > 1, so a violation exits 1 before
-any file is read or written.
+--leapfrog and --n must be >= 1, --burn-in >= 0, --temp, --eps and every
+--steps entry finite and > 0, and --return-period finite and > 1, so a
+violation exits 1 before any file is read or written.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
 are emitted as one JSON line on stderr. All floats are serialized with 17
@@ -35,22 +39,24 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .diagnostics import dic, lrt, posterior_summary, return_levels
 from .distributions import EvdFamily, quantile_values
 from .errors import ExtremeFitError
-from .model import ModelSpec, param_dim, param_names, realize, validate_config
+from .model import ModelSpec, _matvec, param_dim, param_names, realize, validate_config
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds, load_bounds
 from .priors import PriorComponent, PriorSet, default_priors, load_priors
-from .samplers import posterior_target, sample_chains
+from .samplers import Target, posterior_target, sample_chains
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
+_CSV_BLOCK = 2048  # rows formatted per call by _write_csv
 _PIN = 1e-8  # half-width of the uniform default prior around a pinned coordinate
 # burn-in adapts each mala chain's step multiplier toward the optimal MALA
 # acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
@@ -111,11 +117,19 @@ def _write_json(path: str, obj) -> None:
         fh.write(json_dumps(obj) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Write header and an (n, k) table, each cell as _format_float writes it.
+
+    One % over a repeated row template formats a block of rows in a single
+    call ("%.17g" % x and format(x, ".17g") give the same text for every
+    float); blocks of _CSV_BLOCK rows keep the strings small for long tables.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+        for i in range(0, table.shape[0], _CSV_BLOCK):
+            block = table[i:i + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +249,56 @@ def _prior_scales(priors: PriorSet) -> np.ndarray:
     return np.array(scales)
 
 
-def _resolve_steps(steps, sampler: str, spec: ModelSpec, priors: PriorSet,
-                   bounds: Bounds, x0) -> tuple[np.ndarray, str]:
-    """Per-parameter proposal scales and where they came from.
+def _resolve_steps(steps, spec: ModelSpec, priors: PriorSet, bounds: Bounds,
+                   x0) -> tuple[np.ndarray, str]:
+    """The (d, d) factor F of the sampling coordinates and where it came from.
 
-    The source is "steps" for an explicit --steps vector. Otherwise a quick
-    maximum-likelihood fit provides curvature-based scales, capped by the
-    prior scales, with a coordinate that the bounds pin moving at its
-    prior's scale ("mle"); when the fit fails or its Hessian is unusable
-    the prior scales shrunk by 20x are used ("prior_fallback").
+    The samplers move u, where theta = x0 + F u, with one scale for every
+    coordinate. The source is "steps" for an explicit --steps vector, which
+    gives F = diag(steps). Otherwise a quick maximum-likelihood fit gives
+    its covariance S, and on the free coordinates F is the Cholesky factor
+    of D S D with D = diag(min(1, prior scale / SE)): the fit's correlations,
+    each marginal scale capped at its prior's. A coordinate that the bounds
+    pin moves at its prior's scale ("mle"). When the fit fails or its
+    Hessian is unusable F is the diagonal of the prior scales shrunk by 20x
+    ("prior_fallback").
     """
-    dim = param_dim(spec)
     if steps is not None:
-        return _check_len(steps, dim, "--steps"), "steps"
-    prior_scales = _prior_scales(priors)
-    scales, source = 0.05 * prior_scales, "prior_fallback"
+        return np.diag(_check_len(steps, param_dim(spec), "--steps")), "steps"
+    prior_scales = np.maximum(_prior_scales(priors), 1e-12)
+    factor, source = np.diag(0.05 * prior_scales), "prior_fallback"
     try:
         fit = fit_mle(spec, x0, bounds)
-        if fit.std_errors is not None:
-            scales = np.where(bounds.pinned, prior_scales,
-                              np.minimum(fit.std_errors, prior_scales))
+        if fit.covariance is not None:
+            free = ~bounds.pinned
+            d = np.minimum(1.0, prior_scales[free] / fit.std_errors[free])
+            factor = np.diag(prior_scales)
+            factor[np.ix_(free, free)] = np.linalg.cholesky(
+                fit.covariance[np.ix_(free, free)] * d[:, None] * d)
             source = "mle"
-    except ExtremeFitError:
+    except (ExtremeFitError, np.linalg.LinAlgError):
         pass
-    scales = np.maximum(scales, 1e-12)
-    if sampler == "rw":
-        return 2.4 * scales / math.sqrt(dim), source
-    if sampler == "mala":
-        return 0.6 * scales * dim ** (-1.0 / 6.0), source
-    return scales, source  # hmc: converted to a diagonal mass matrix
+    return factor, source
+
+
+def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
+    """target in the coordinates u of theta = x0 + factor u, and the map to theta.
+
+    Rows map by the stacked matvec of ``model._matvec``, so a chain's row is
+    bit-identical alone and in lockstep; gradients map back by factor.T.
+    """
+    factor_t = np.ascontiguousarray(factor.T)
+
+    def to_theta(u):
+        return x0 + _matvec(factor, u)
+
+    def value_and_grad(u):
+        lp, g = target.value_and_grad(to_theta(u))
+        return lp, _matvec(factor_t, g)
+
+    return Target(lambda u: target.log_post(to_theta(u)),
+                  lambda u: _matvec(factor_t, target.grad_log_post(to_theta(u))),
+                  target.temperature, value_and_grad), to_theta
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +316,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
         "theta_hat": result.theta_hat.tolist(),
         "nll": result.nll_min,
         "converged": result.converged,
+        "termination": result.termination,
         "std_errors": None if result.std_errors is None else result.std_errors.tolist(),
     }
     if args.return_period is not None:
@@ -296,14 +332,19 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     bounds = infer_bounds(spec)
     priors = _resolve_priors(args.priors_path, spec, bounds)
     x0 = _resolve_init(args.init, spec)
-    steps, steps_source = _resolve_steps(args.steps, args.sampler, spec, priors, bounds, x0)
-    chains = sample_chains(
-        args.sampler, posterior_target(spec, priors), args.num_samples, x0,
-        1.0 / steps**2 if args.sampler == "hmc" else steps,
-        [RngState(args.seed, k) for k in range(args.chains)], T=args.temp,
-        burn_in=args.burn_in, thin=args.thin, eps=args.eps, n_leapfrog=args.leapfrog,
-        target_accept=MALA_TARGET_ACCEPT if args.sampler == "mala" else None,
-    )
+    factor, steps_source = _resolve_steps(args.steps, spec, priors, bounds, x0)
+    target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
+    dim = x0.size
+    scale = 1.0 if args.steps is not None else {
+        "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}[args.sampler]
+    chains = [
+        replace(chain, samples=to_theta(chain.samples)) for chain in sample_chains(
+            args.sampler, target, args.num_samples, np.zeros(dim), scale,
+            [RngState(args.seed, k) for k in range(args.chains)], T=args.temp,
+            burn_in=args.burn_in, thin=args.thin, eps=args.eps, n_leapfrog=args.leapfrog,
+            target_accept=MALA_TARGET_ACCEPT if args.sampler == "mala" else None,
+        )
+    ]
 
     names = param_names(spec)
     for k, chain in enumerate(chains):
@@ -345,11 +386,8 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     if args.return_period is not None:
         theta_mean = pooled.mean(axis=0)
         levels = return_levels(spec, theta_mean, args.return_period)
-        _write_csv(
-            os.path.join(args.out, "return_levels.csv"),
-            ["index", "return_level"],
-            ([float(i), float(v)] for i, v in enumerate(levels)),
-        )
+        _write_csv(os.path.join(args.out, "return_levels.csv"), ["index", "return_level"],
+                   np.column_stack([np.arange(levels.size, dtype=float), levels]))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -433,6 +471,14 @@ def _vector(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"could not parse a float vector from {text!r}")
 
 
+def _positive_vector(text: str) -> list[float]:
+    """argparse type: a comma-separated vector of finite values > 0."""
+    values = _vector(text)
+    if not all(0.0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"entries must be finite and > 0, got {text!r}")
+    return values
+
+
 def _checked(base, low: float, strict: bool = False):
     """argparse type: base(text), which must be finite and >= low (> low when strict)."""
     def parse(text: str):
@@ -498,8 +544,9 @@ def build_parser() -> _Parser:
                           help="temperature scaling of the posterior (> 0)")
     p_sample.add_argument("--init", default=None, type=_vector,
                           help="comma-separated starting vector")
-    p_sample.add_argument("--steps", default=None, type=_vector,
-                          help="per-parameter proposal widths / step sizes")
+    p_sample.add_argument("--steps", default=None, type=_positive_vector,
+                          help="per-parameter rw widths / mala step sizes / hmc "
+                               "mass**-0.5, in place of the MLE covariance")
     p_sample.add_argument("--priors", dest="priors_path", default=None,
                           help="priors JSON file")
     p_sample.add_argument("--eps", type=positive, default=0.2,

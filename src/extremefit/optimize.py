@@ -14,12 +14,15 @@ fit when not supplied, with a projected, damped Newton method (Bertsekas
   held fixed; one at a bound with the gradient pushing outward, or with the
   Newton step pushing outward, is left out of the step.
 * An Armijo backtracking search along the projection into the box rejects
-  every +inf nll (the support has hard cliffs), so the nll never increases.
+  every +inf nll (the support has hard cliffs) and every step that does not
+  lower the nll strictly, so a tol below what rounding can reach ends the
+  run with "no_descent_step" instead of rounding-level steps to max_iter.
 
 The fit has converged when the Newton decrement g' H^-1 g over the moving
-coordinates is at most tol. Standard errors come from the same Hessian at
-theta_hat. The Nelder-Mead simplex (``nelder_mead``) stays available as a
-derivative-free minimizer for any objective.
+coordinates is at most tol. The covariance (the inverse of the same Hessian
+at theta_hat) and the standard errors come from it. The Nelder-Mead simplex
+(``nelder_mead``) stays available as a derivative-free minimizer for any
+objective.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ class FitResult:
     n_evals counts objective evaluations (for fit_mle, nll evaluations plus
     gradient rows). termination names why the minimizer stopped: "converged"
     or "max_iter", and for fit_mle also "hessian_not_finite" or
-    "no_descent_step".
+    "no_descent_step". covariance is fit_mle's (d, d) inverse Hessian at
+    theta_hat, with zero rows and columns at pinned coordinates; it and
+    std_errors, the square roots of its diagonal, are None together.
     """
 
     theta_hat: np.ndarray
@@ -88,6 +93,7 @@ class FitResult:
     n_evals: int
     std_errors: np.ndarray | None = None
     termination: str = ""
+    covariance: np.ndarray | None = None
 
 
 def nelder_mead(f, x0, bounds: Bounds | None = None, tol: float = 1e-8,
@@ -344,7 +350,8 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
                 break
             f_cand = neg_log_likelihood(spec, cand)
             evals += 1
-            if f_cand <= f + _ARMIJO * float(g @ (cand - theta)):  # false for +inf
+            # false for +inf, and for a step that rounding leaves at f
+            if f_cand < f and f_cand <= f + _ARMIJO * float(g @ (cand - theta)):
                 theta, f, moved = cand, f_cand, True
                 break
             alpha *= 0.5
@@ -353,19 +360,22 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
 
 
 def _std_errors(hess, free: np.ndarray, scale: np.ndarray):
-    """Square roots of the inverse Hessian's diagonal; None unless it is positive definite.
+    """The inverse Hessian's diagonal square roots and the inverse itself.
 
-    A pinned coordinate is not estimated, so its standard error is 0.
+    Both are None unless the Hessian is positive definite. A pinned
+    coordinate is not estimated, so its standard error, row and column are 0.
     """
     if hess is None:
-        return None
+        return None, None
     s = scale[free]
     lam, vec = np.linalg.eigh(hess * s[:, None] * s)
     if not lam.min(initial=math.inf) > 0:
-        return None
+        return None, None
     se = np.zeros(free.size)
-    se[free] = s * np.sqrt((vec**2 / lam).sum(axis=1))
-    return se
+    se[free] = s * np.sqrt((vec**2 / lam).sum(axis=1))  # cov's diagonal, to rounding
+    cov = np.zeros((free.size, free.size))
+    cov[np.ix_(free, free)] = (vec / lam) @ vec.T * s[:, None] * s
+    return se, 0.5 * (cov + cov.T)
 
 
 def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
@@ -404,9 +414,9 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     scale = np.where(np.isfinite(width), width, 1.0)
     theta, f, termination, hess, evals = _newton(spec, start, f_start, bounds, free, scale,
                                                  tol, max_iter)
+    se, cov = _std_errors(hess, free, scale)
     return FitResult(theta_hat=theta, nll_min=float(f), converged=termination == "converged",
-                     n_evals=evals, std_errors=_std_errors(hess, free, scale),
-                     termination=termination)
+                     n_evals=evals, std_errors=se, termination=termination, covariance=cov)
 
 
 def bounds_to_json(bounds: Bounds) -> dict:

@@ -6,15 +6,30 @@ import math
 import numpy as np
 import pytest
 
+from extremefit import (
+    EvdFamily,
+    ModelSpec,
+    RngState,
+    default_priors,
+    fit_mle,
+    posterior_target,
+    realize,
+    sample_chains,
+)
 from extremefit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MALA_TARGET_ACCEPT,
     ConfigError,
+    _prior_scales,
+    _write_csv,
     json_dumps,
     load_csv,
     main,
 )
+from extremefit.distributions import quantile_values
+from extremefit.optimize import default_start
 from _cases import run_cli
 
 
@@ -94,6 +109,26 @@ class TestJsonDumps:
         assert decoded == values
 
 
+class TestWriteCsv:
+    @staticmethod
+    def _per_cell(header, table):
+        """The writer's output as formatting cell by cell gives it."""
+        return ",".join(header) + "\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table)
+
+    def test_same_bytes_as_formatting_each_cell(self, tmp_path):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.8e308,
+                   -1.8e308, 0.1, 1e16, 2.0**53 + 2.0]
+        rng = np.random.default_rng(3)
+        scattered = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+        table = np.concatenate([special, scattered]).reshape(-1, 3)
+        path = tmp_path / "t.csv"
+        for part in (table, table[:, :1], table[:0]):
+            header = [f"c{j}" for j in range(part.shape[1])]
+            _write_csv(str(path), header, part)
+            assert path.read_bytes() == self._per_cell(header, part).encode()
+
+
 class TestSimulate:
     def test_round_trip_exact(self, tmp_path, sim_csv):
         data, cov, names = load_csv(sim_csv)
@@ -161,9 +196,9 @@ class TestFit:
         assert res.returncode == EXIT_OK, res.stderr
         out = json.loads((tmp_path / "fit" / "result.json").read_text())
         assert set(out) == {"param_names", "theta_hat", "nll", "converged",
-                            "std_errors", "return_levels"}
+                            "termination", "std_errors", "return_levels"}
         assert out["param_names"] == ["loc_intercept", "loc_slope_0", "scale", "shape"]
-        assert out["converged"] is True
+        assert out["converged"] is True and out["termination"] == "converged"
         assert len(out["theta_hat"]) == 4
         assert len(out["return_levels"]) == 120
 
@@ -284,6 +319,65 @@ class TestSample:
         assert res.returncode == EXIT_OK, res.stderr
         summary = json.loads((tmp_path / "gp" / "summary.json").read_text())
         assert summary["steps_source"] == "prior_fallback"
+
+    @pytest.mark.parametrize("sampler", ["rw", "mala", "hmc"])
+    def test_steps_equal_library_chains(self, tmp_path, sim_csv, sampler):
+        # --steps gives the diagonal factor diag(steps): the library samplers'
+        # own math with the same widths, step sizes or mass 1/steps**2
+        data, covariates, _ = load_csv(sim_csv)
+        spec = ModelSpec(data=data, covariates=covariates, config=(1, 0, 0),
+                         family=EvdFamily.GEV)
+        steps = np.array([float(f"{v:.17g}") for v in fit_mle(spec).std_errors])
+        n = 30 if sampler == "hmc" else 200
+        assert main(["sample", "--input", str(sim_csv), "--config", "1,0,0",
+                     "--sampler", sampler, "--steps", ",".join(f"{v:.17g}" for v in steps),
+                     "--num-samples", str(n), "--chains", "2", "--seed", "6",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        chains = sample_chains(
+            sampler, posterior_target(spec, default_priors(spec)), n, default_start(spec),
+            1.0 / steps**2 if sampler == "hmc" else steps, [RngState(6, k) for k in range(2)],
+            target_accept=MALA_TARGET_ACCEPT if sampler == "mala" else None)
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert summary["steps_source"] == "steps"
+        assert summary["acceptance_rates"] == [c.acceptance_rate for c in chains]
+        # the two sides differ in the last bits of each step; MALA's drift and its
+        # dual averaging in burn-in carry those differences a few digits further
+        rtol = 1e-6 if sampler == "mala" else 1e-12
+        for k, chain in enumerate(chains):
+            trace = np.loadtxt(tmp_path / "s" / f"trace_{k}.csv", delimiter=",", skiprows=1)
+            np.testing.assert_allclose(trace, chain.samples, rtol=rtol, atol=1e-3 * rtol)
+
+    @pytest.mark.parametrize("sampler", ["rw", "mala"])
+    def test_mle_correlations_raise_min_ess(self, tmp_path, sampler):
+        # GEV (1,0,0) on an uncentred covariate, t in [10, 11]: the intercept
+        # and the slope correlate at -0.999 at the MLE, which diagonal scales
+        # cannot follow
+        n = 100
+        t = np.linspace(10.0, 11.0, n)
+        shell = ModelSpec(data=np.zeros(n), covariates=t[:, None], config=(1, 0, 0),
+                          family=EvdFamily.GEV)
+        x = quantile_values(EvdFamily.GEV, RngState(11, 0).uniforms(n),
+                            *realize(shell, np.array([10.0, 1.0, 2.0, 0.1])))
+        path = tmp_path / "u.csv"
+        path.write_text("value,t\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, t)))
+        spec = ModelSpec(data=x, covariates=t[:, None], config=(1, 0, 0), family=EvdFamily.GEV)
+        fit = fit_mle(spec)
+        se = np.sqrt(np.diag(fit.covariance))
+        assert fit.covariance[0, 1] / (se[0] * se[1]) < -0.99
+        # --steps with diagonal widths: each marginal scale, min(SE, prior scale),
+        # times the sampler's constant, without the correlations
+        marginal = np.minimum(fit.std_errors, _prior_scales(default_priors(spec)))
+        old = marginal * (2.4 / 2.0 if sampler == "rw" else 0.6 * 4.0 ** (-1.0 / 6.0))
+
+        def min_ess(*extra):
+            out = tmp_path / f"{sampler}{len(extra)}"
+            assert main(["sample", "--input", str(path), "--config", "1,0,0",
+                         "--sampler", sampler, "--num-samples", "600", "--chains", "4",
+                         "--seed", "1", "--out", str(out), *extra]) == EXIT_OK
+            return min(p["ess"] for p in json.loads((out / "summary.json").read_text())["params"])
+
+        diagonal = min_ess("--steps", ",".join(f"{v:.17g}" for v in old))
+        assert min_ess() >= 3.0 * diagonal
 
     def test_env_seed_fallback(self, tmp_path, sim_csv):
         args = ["sample", "--input", str(sim_csv), "--config", "1,0,0",
@@ -422,6 +516,8 @@ class TestArgumentErrors:
         ("sample", "--leapfrog", "0"),
         ("sample", "--return-period", "1"),
         ("sample", "--chains", "0"),
+        ("sample", "--steps", "0.1,0,0.1,0.1"),
+        ("sample", "--steps", "0.1,inf,0.1,0.1"),
         ("fit", "--return-period", "1"),
         ("simulate", "--n", "0"),
     ])

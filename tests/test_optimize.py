@@ -404,3 +404,41 @@ class TestTermination:
         fit = fit_mle(spec, x0=best.theta_hat, tol=0.0)
         assert not fit.converged and fit.termination == "no_descent_step"
         assert fit.nll_min <= best.nll_min
+
+    def test_a_step_that_leaves_the_nll_unchanged_is_no_descent(self):
+        # from the optimum with tol = 0 only rounding-level steps remain; accepting
+        # those that leave the nll where it was ran all 100 iterations (8007 evaluations)
+        spec = _gev_spec(n=400, seed=404)
+        best = fit_mle(spec)
+        fit = fit_mle(spec, x0=best.theta_hat, tol=0.0)
+        assert fit.termination == "no_descent_step" and fit.n_evals < 100
+        assert fit.nll_min <= best.nll_min
+
+
+class TestCovariance:
+    """FitResult.covariance: the inverse Hessian whose diagonal gives std_errors."""
+
+    @pytest.mark.parametrize("family, config, theta", [
+        (GEV, (1, 0, 0), [10.0, 2.0, 5.0, 0.1]),
+        (EvdFamily.GPD, (0, 1, 0), [0.0, 0.0, 0.3, 0.1]),
+    ])
+    def test_symmetric_with_squared_std_errors_on_the_diagonal(self, family, config, theta):
+        spec = _ramp_spec(family, config, np.array(theta), 150, 903)
+        bounds = infer_bounds(spec)
+        fit = fit_mle(spec, bounds=bounds)
+        cov, pinned = fit.covariance, bounds.pinned
+        assert fit.converged and cov.shape == (len(theta), len(theta))
+        assert np.array_equal(cov, cov.T)
+        np.testing.assert_allclose(np.diag(cov), fit.std_errors**2, rtol=1e-12)
+        assert not cov[pinned].any() and not cov[:, pinned].any()
+        assert np.linalg.eigvalsh(cov[np.ix_(~pinned, ~pinned)]).min() > 0
+
+    def test_none_exactly_when_the_std_errors_are(self):
+        data = sample(EvdFamily.GPD, ParamTriple(0, 2, 0.2), RngState(0, 0), size=60)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GPD)
+        box = infer_bounds(spec)
+        lo, hi = box.lo.copy(), box.hi.copy()
+        lo[0], hi[0] = -1.0, 1.0  # a free threshold: the Hessian is not finite
+        for fit in (fit_mle(spec), fit_mle(spec, bounds=Bounds(lo, hi))):
+            assert (fit.covariance is None) == (fit.std_errors is None)
+        assert fit.covariance is None
