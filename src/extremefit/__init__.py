@@ -47,7 +47,7 @@ from .model import (
     validate_config,
 )
 from .numerics import RngState, central_diff_grad, chi2_sf, lgamma, reg_lower_inc_gamma
-from .optimize import Bounds, FitResult, fit_mle, infer_bounds, nelder_mead
+from .optimize import Bounds, FitResult, fit_mle, infer_bounds
 from .priors import (
     PriorComponent,
     PriorSet,
@@ -113,7 +113,6 @@ __all__ = [
     "mala",
     "mh_random_walk",
     "neg_log_likelihood",
-    "nelder_mead",
     "nll_and_grad",
     "param_dim",
     "param_names",

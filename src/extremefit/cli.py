@@ -16,9 +16,9 @@ lrt        likelihood-ratio test of two nested configurations; lrt.json
 The parsed argparse namespace is the run's configuration: each subparser
 binds its command function, and argparse holds every default. Option values
 are checked when they are parsed: --num-samples, --thin, --chains,
---leapfrog and --n must be >= 1, --burn-in >= 0, --temp, --eps and every
---steps entry finite and > 0, and --return-period finite and > 1, so a
-violation exits 1 before any file is read or written.
+--leapfrog and --n must be >= 1, --burn-in and --seed >= 0, --temp, --eps
+and every --steps entry finite and > 0, and --return-period finite and > 1,
+so a violation exits 1 before any file is read or written.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
 are emitted as one JSON line on stderr. All floats are serialized with 17
@@ -140,29 +140,33 @@ def _read_table(path: str):
     """Read a header-first numeric CSV into (header, rows x columns array).
 
     Blank lines are skipped. Rows with a missing, extra, unparsable or
-    non-finite cell are rejected with their row numbers.
+    non-finite cell are rejected with their row numbers, and a path that
+    cannot be read as UTF-8 text with the path.
     """
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ConfigError(f"{path} is empty")
-        rows: list[list[float]] = []
-        bad_rows: list[int] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                cells = [float(cell) for cell in row]
-                if len(cells) != len(header) or not all(math.isfinite(v) for v in cells):
-                    raise ValueError
-            except ValueError:
-                bad_rows.append(row_no)
-                continue
-            rows.append(cells)
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise ConfigError(f"{path} is empty")
+            rows: list[list[float]] = []
+            bad_rows: list[int] = []
+            for row_no, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    cells = [float(cell) for cell in row]
+                    if len(cells) != len(header) or not all(math.isfinite(v) for v in cells):
+                        raise ValueError
+                except ValueError:
+                    bad_rows.append(row_no)
+                    continue
+                rows.append(cells)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or bytes that are not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}")
     if bad_rows:
         raise ConfigError(f"unparsable cells in {path} at rows {bad_rows}")
     if not rows:
@@ -216,7 +220,7 @@ def _read_sized(path: str, load, label: str, size, spec: ModelSpec):
     """load(path), whose size(...) must equal the model's parameter count."""
     try:
         obj = load(path)
-    except (OSError, json.JSONDecodeError, ExtremeFitError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ExtremeFitError) as exc:
         raise ConfigError(f"cannot read {label} file: {exc}")
     if size(obj) != param_dim(spec):
         raise ConfigError(f"{label} file has {size(obj)} entries, model needs {param_dim(spec)}")
@@ -496,9 +500,9 @@ def _default_seed() -> int:
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"EXTREMEFIT_SEED must be an integer, got {env!r}")
+        return _checked(int, 0)(env)  # the same rule as --seed
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"EXTREMEFIT_SEED must be an integer >= 0, got {env!r}")
 
 
 def build_parser() -> _Parser:
@@ -517,8 +521,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default="0,0,0", type=_config_triple,
                        help="covariate counts a,b,c for location, scale, shape")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: EXTREMEFIT_SEED or 0)")
+        p.add_argument("--seed", type=_checked(int, 0), default=None,
+                       help="RNG seed, >= 0 (default: EXTREMEFIT_SEED or 0)")
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.set_defaults(func=_cmd_fit)

@@ -20,9 +20,7 @@ fit when not supplied, with a projected, damped Newton method (Bertsekas
 
 The fit has converged when the Newton decrement g' H^-1 g over the moving
 coordinates is at most tol. The covariance (the inverse of the same Hessian
-at theta_hat) and the standard errors come from it. The Nelder-Mead simplex
-(``nelder_mead``) stays available as a derivative-free minimizer for any
-objective.
+at theta_hat) and the standard errors come from it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import EvdFamily
-from .errors import DomainError, FitError, InitializationError
+from .errors import DomainError, FitError
 from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, param_dim, realize
 
 _HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
@@ -70,19 +68,14 @@ class Bounds:
     def pinned(self) -> np.ndarray:
         return self.lo == self.hi
 
-    @classmethod
-    def unbounded(cls, dim: int) -> "Bounds":
-        return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
-
 
 @dataclass
 class FitResult:
-    """A minimum and how it was reached.
+    """A minimum of the nll and how fit_mle reached it.
 
-    n_evals counts objective evaluations (for fit_mle, nll evaluations plus
-    gradient rows). termination names why the minimizer stopped: "converged"
-    or "max_iter", and for fit_mle also "hessian_not_finite" or
-    "no_descent_step". covariance is fit_mle's (d, d) inverse Hessian at
+    n_evals counts nll evaluations plus gradient rows. termination names why
+    the fit stopped: "converged", "max_iter", "hessian_not_finite" or
+    "no_descent_step". covariance is the (d, d) inverse Hessian at
     theta_hat, with zero rows and columns at pinned coordinates; it and
     std_errors, the square roots of its diagonal, are None together.
     """
@@ -94,105 +87,6 @@ class FitResult:
     std_errors: np.ndarray | None = None
     termination: str = ""
     covariance: np.ndarray | None = None
-
-
-def nelder_mead(f, x0, bounds: Bounds | None = None, tol: float = 1e-8,
-                max_iter: int | None = None) -> FitResult:
-    """Minimize f with the standard reflect/expand/contract/shrink simplex.
-
-    Coefficients (1, 2, 0.5, 0.5). The initial simplex perturbs coordinate i
-    of x0 by max(0.05*|x0_i|, 0.01); vertices outside the bounds evaluate to
-    +inf. Converged once the simplex value spread drops below tol AND the
-    simplex has geometrically collapsed (diameter below 1e-5 relative to the
-    best point) - the spread test alone can fire while vertices straddle the
-    minimum symmetrically - or once the diameter falls below 1e-10 outright.
-    Hitting max_iter returns the best point with converged=False.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if max_iter is None:
-        max_iter = 400 * dim
-    if bounds is None:
-        bounds = Bounds.unbounded(dim)
-    if not bounds.contains(x0):
-        raise InitializationError("x0 lies outside the bounds")
-
-    evals = 0
-
-    def fx(x):
-        nonlocal evals
-        evals += 1
-        if not bounds.contains(x):
-            return math.inf
-        v = f(x)
-        return v if math.isfinite(v) else math.inf
-
-    f0 = fx(x0)
-    if not math.isfinite(f0):
-        raise InitializationError("objective is not finite at x0")
-
-    verts = [x0]
-    for i in range(dim):
-        step = max(0.05 * abs(x0[i]), 0.01)
-        v = x0.copy()
-        v[i] += step
-        if not bounds.contains(v):
-            v[i] = x0[i] - step  # step into the box when the +side is outside
-        verts.append(v)
-    simplex = np.array(verts)
-    values = np.array([f0] + [fx(v) for v in simplex[1:]])
-
-    converged = False
-    for _ in range(max_iter):
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        spread = values[-1] - values[0]
-        diameter = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
-        collapsed = diameter <= 1e-5 * (1.0 + np.linalg.norm(simplex[0]))
-        if (math.isfinite(spread) and spread < tol and collapsed) or diameter < 1e-10:
-            converged = True
-            break
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = fx(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = fx(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = fx(contracted)
-                better = f_c <= f_r
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-                f_c = fx(contracted)
-                better = f_c < values[-1]
-            if better:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, dim + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = fx(simplex[i])
-
-    order = np.argsort(values, kind="stable")
-    simplex = simplex[order]
-    values = values[order]
-    return FitResult(
-        theta_hat=simplex[0].copy(),
-        nll_min=float(values[0]),
-        converged=converged,
-        n_evals=evals,
-        termination="converged" if converged else "max_iter",
-    )
 
 
 def infer_bounds(spec: ModelSpec) -> Bounds:
@@ -424,16 +318,19 @@ def bounds_to_json(bounds: Bounds) -> dict:
 
 
 def bounds_from_json(obj) -> Bounds:
-    if not isinstance(obj, dict) or "lo" not in obj or "hi" not in obj:
-        raise DomainError('bounds file must be a JSON object {"lo": [...], "hi": [...]}')
+    """Bounds from {"lo": [...], "hi": [...]}; a null entry leaves that side open."""
+    def side(key, sign):
+        values = obj.get(key) if isinstance(obj, dict) else None
+        try:
+            if isinstance(values, list) and all(v is None or type(v) in (int, float)
+                                                for v in values):
+                return np.array([sign * math.inf if v is None else float(v) for v in values])
+        except OverflowError:  # an integer too large for a float
+            pass
+        raise DomainError(f'bounds must be a JSON object whose "{key}" is an array '
+                          "of numbers or nulls")
 
-    def side(values, sign):
-        out = []
-        for v in values:
-            out.append(sign * math.inf if v is None else float(v))
-        return np.array(out)
-
-    return Bounds(side(obj["lo"], -1.0), side(obj["hi"], +1.0))
+    return Bounds(side("lo", -1.0), side("hi", +1.0))
 
 
 def load_bounds(path) -> Bounds:

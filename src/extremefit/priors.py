@@ -186,7 +186,7 @@ def priors_from_json(obj) -> PriorSet:
             comps.append(
                 PriorComponent(str(entry["kind"]), float(entry["a"]), float(entry["b"]))
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed prior component at index {i}: {exc}")
     return PriorSet(tuple(comps))
 

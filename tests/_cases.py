@@ -52,8 +52,8 @@ def simulate_from(spec_shell: ModelSpec, theta, seed: int) -> np.ndarray:
     return quantile_values(spec_shell.family, u, loc, scale, shape)
 
 
-def run_cli(args, cwd, env_extra=None):
-    """Run ``python -m extremefit`` in ``cwd`` against the package this process imported.
+def run_python(args, cwd, env_extra=None):
+    """Run ``python *args`` in ``cwd`` against the extremefit this process imported.
 
     The child's ``PYTHONPATH`` starts with the absolute directory that holds
     the imported ``extremefit``, so a relative ``PYTHONPATH`` or a missing
@@ -67,9 +67,13 @@ def run_cli(args, cwd, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "extremefit", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env,
     )
+
+
+def run_cli(args, cwd, env_extra=None):
+    """Run ``python -m extremefit *args`` in ``cwd`` (see run_python)."""
+    return run_python(["-m", "extremefit", *args], cwd, env_extra)
 
 
 ROW_KINDS = ("inside", "outside", "zero_scale", "bad_scale")

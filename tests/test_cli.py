@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from extremefit.cli import (
 )
 from extremefit.distributions import quantile_values
 from extremefit.optimize import default_start
-from _cases import run_cli
+from _cases import run_cli, run_python
 
 
 @pytest.fixture
@@ -92,6 +93,14 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_csv(tmp_path / "nope.csv")
+
+    def test_directory_or_non_utf8_file_names_the_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"value\n1.0\n\xff2.0\n")
+        for path in (tmp_path, p):
+            with pytest.raises(ConfigError, match="cannot read") as info:
+                load_csv(path)
+            assert str(path) in str(info.value)
 
 
 class TestJsonDumps:
@@ -520,6 +529,7 @@ class TestArgumentErrors:
         ("sample", "--steps", "0.1,inf,0.1,0.1"),
         ("fit", "--return-period", "1"),
         ("simulate", "--n", "0"),
+        ("sample", "--seed", "-1"),
     ])
     def test_out_of_range_value_exits_before_any_output(self, tmp_path, capsys, sim_csv,
                                                           command, option, value):
@@ -530,3 +540,37 @@ class TestArgumentErrors:
         assert err["error"] == "config"
         assert option in err["message"]
         assert not out.exists()
+
+    def test_negative_env_seed_exits_before_any_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EXTREMEFIT_SEED", "-3")
+        out = tmp_path / "bad"
+        assert main(["simulate", "--true-params", "0,1,0", "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "EXTREMEFIT_SEED" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option, content", [
+        ("fit", "--bounds", {"lo": [0, "x", 0, 0], "hi": [1, 1, 1, 1]}),
+        ("fit", "--bounds", {"lo": 5, "hi": [1, 1, 1, 1]}),
+        ("fit", "--bounds", b"\xff"),
+        ("sample", "--priors", [{"kind": "normal", "a": "abc", "b": 1.0}] * 4),
+    ])
+    def test_malformed_bounds_or_priors_file(self, tmp_path, capsys, sim_csv,
+                                             command, option, content):
+        path = tmp_path / "file.json"
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        assert main([command, "--input", str(sim_csv), "--config", "1,0,0", option, str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+
+
+class TestRuntimeImports:
+    def test_cli_loads_only_the_stdlib_numpy_and_extremefit(self, tmp_path):
+        # beyond what the bare interpreter has loaded at start-up; the oracle
+        # tests' scipy must never become a runtime dependency
+        code = ("import sys; before = set(sys.modules); import extremefit.cli; "
+                "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+        res = run_python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert set(res.stdout.split()) - set(sys.stdlib_module_names) == {"extremefit", "numpy"}

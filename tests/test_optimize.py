@@ -1,17 +1,16 @@
-"""Simplex minimizer, bounds inference, and the projected-Newton MLE fit."""
+"""Bounds inference and the projected-Newton MLE fit."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extremefit import (
     Bounds,
     DomainError,
     EvdFamily,
-    InitializationError,
     ModelSpec,
     ParamTriple,
     RngState,
@@ -19,8 +18,8 @@ from extremefit import (
     fit_mle,
     infer_bounds,
     neg_log_likelihood,
-    nelder_mead,
     realize,
+    return_levels,
     sample,
 )
 from extremefit import model
@@ -33,72 +32,6 @@ GEV = EvdFamily.GEV
 def _gev_spec(n=2000, seed=404, loc=10.0, scale=5.0, shape=0.1, config=(0, 0, 0), cov=None):
     data = sample(GEV, ParamTriple(loc, scale, shape), RngState(seed, 0), size=n)
     return ModelSpec(data=data, covariates=cov, config=config, family=GEV)
-
-
-class TestNelderMead:
-    def test_parabola(self):
-        res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]))
-        assert res.converged
-        assert res.theta_hat[0] == pytest.approx(3.0, abs=1e-5)
-
-    def test_rosenbrock(self):
-        def rosen(x):
-            return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-
-        res = nelder_mead(rosen, np.array([-1.2, 1.0]))
-        assert res.converged
-        assert np.allclose(res.theta_hat, [1.0, 1.0], atol=1e-4)
-
-    def test_infinite_start(self):
-        with pytest.raises(InitializationError):
-            nelder_mead(lambda x: math.inf, np.array([0.0]))
-
-    def test_start_outside_bounds(self):
-        with pytest.raises(InitializationError):
-            nelder_mead(lambda x: x[0] ** 2, np.array([5.0]),
-                        bounds=Bounds([-1.0], [1.0]))
-
-    def test_monotone_progress(self):
-        best = []
-
-        def f(x):
-            v = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-            if not best or v < best[-1]:
-                best.append(v)
-            return v
-
-        nelder_mead(f, np.array([-1.2, 1.0]))
-        assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
-
-    def test_respects_bounds(self):
-        bounds = Bounds([0.5, -1.0], [4.0, 1.0])
-        res = nelder_mead(lambda x: (x[0] - 3.0) ** 2 + x[1] ** 2,
-                          np.array([1.0, 0.5]), bounds=bounds)
-        assert bounds.contains(res.theta_hat)
-        # constrained optimum at x0 = 3 inside the box
-        assert res.theta_hat[0] == pytest.approx(3.0, abs=1e-4)
-
-    def test_active_bound(self):
-        bounds = Bounds([0.0], [1.0])
-        res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, np.array([0.5]), bounds=bounds)
-        assert res.theta_hat[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_max_iter_flag(self):
-        def rosen(x):
-            return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-
-        res = nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5)
-        assert not res.converged
-        assert math.isfinite(res.nll_min)
-
-    def test_deterministic(self):
-        def f(x):
-            return (x[0] - 1.0) ** 4 + (x[1] + 2.0) ** 2
-
-        a = nelder_mead(f, np.array([3.0, 3.0]))
-        b = nelder_mead(f, np.array([3.0, 3.0]))
-        assert np.array_equal(a.theta_hat, b.theta_hat)
-        assert a.n_evals == b.n_evals
 
 
 class TestInferBounds:
@@ -144,6 +77,31 @@ class TestInferBounds:
         intercept = 0 if config[0] else 1
         assert b.lo[intercept] < fits[0].theta_hat[intercept] < b.hi[intercept]
         assert np.all((b.lo < fits[0].theta_hat) & (fits[0].theta_hat < b.hi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from([GEV, EvdFamily.GPD]), shift=st.floats(-1e6, 1e6),
+           log_unit=st.floats(-9.0, 9.0), seed=st.integers(0, 10_000))
+    @example(family=GEV, shift=1e6, log_unit=0.0, seed=5)
+    @example(family=GEV, shift=0.0, log_unit=-9.0, seed=5)
+    def test_affine_map_of_the_data_maps_the_fit(self, family, shift, log_unit, seed):
+        # x -> unit * (shift + x) for the stationary GEV, x -> unit * x for the
+        # GPD, whose threshold infer_bounds pins at 0
+        unit = 10.0 ** log_unit
+        shift = shift if family is GEV else 0.0
+        x = _numpy_gev_series(seed=seed) if family is GEV else \
+            quantile_values(family, np.random.default_rng(seed).random(100), 0.0, 2.0, 0.1)
+        specs = [ModelSpec(data=d, covariates=None, config=(0, 0, 0), family=family)
+                 for d in (x, unit * (shift + x))]
+        fits = [fit_mle(spec) for spec in specs]
+        assert all(f.converged and f.std_errors is not None for f in fits)
+        (theta0, se0), (theta1, se1) = ((f.theta_hat, f.std_errors) for f in fits)
+        units = np.array([unit, unit, 1.0])
+        mapped = theta0 * units + [unit * shift, 0.0, 0.0]
+        assert np.all(np.abs(theta1 - mapped) <= 1e-6 * se1)
+        np.testing.assert_allclose(se1, se0 * units, rtol=1e-6)
+        level0, level1 = (return_levels(spec, f.theta_hat, 50.0)[0]
+                          for spec, f in zip(specs, fits))
+        assert abs(level1 - unit * (shift + level0)) <= 1e-6 * se1[1]
 
     def test_gpd_threshold_pinned_at_zero(self):
         cov = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
@@ -259,11 +217,37 @@ class TestBoundsJson:
         with pytest.raises(DomainError):
             bounds_from_json({"lo": [1.0], "hi": [0.0]})
 
+    @pytest.mark.parametrize("obj", [
+        {"lo": [0, "x", 0], "hi": [1, 1, 1]},
+        {"lo": 5, "hi": [1, 1, 1]},
+        {"lo": "012", "hi": [9, 9, 9]},
+        {"lo": [0, 0, 0], "hi": [1, [1], 1]},
+        {"lo": [0, True, 0], "hi": [1, 1, 1]},
+        {"lo": [0, 0, 0], "hi": [1, 10**400, 1]},
+        [[0, 0, 0], [1, 1, 1]],
+    ])
+    def test_entries_other_than_numbers_or_null(self, obj):
+        with pytest.raises(DomainError):
+            bounds_from_json(obj)
+
 
 def _numpy_gev_series(n=100, seed=5):
     """GEV(10, 2, 0.1) block maxima by inverse CDF from numpy's default_rng(seed)."""
     u = np.random.default_rng(seed).random(n)
     return 10.0 + 2.0 * np.expm1(-0.1 * np.log(-np.log(u))) / 0.1
+
+
+# fit_mle's default tol, its stopping rule: Newton may end this far above a
+# simplex that scipy runs to xatol = fatol = 1e-10. Measured: 2e-11 above it on
+# the pinned-threshold GPD cases, at most 4.5e-9 over 300 not_above_simplex draws.
+_ORACLE_MARGIN = 1e-8
+
+
+def _simplex_min(f, x0, lo, hi):
+    """The minimum of f that scipy's bounded Nelder-Mead reaches from x0."""
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize(f, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                             options={"xatol": 1e-10, "fatol": 1e-10}).fun
 
 
 def _ramp_spec(family, config, theta, n, seed):
@@ -301,11 +285,11 @@ class TestNewton:
             full[free] = u
             return full
 
-        simplex = nelder_mead(lambda u: neg_log_likelihood(spec, on_free(u)), start[free],
-                              Bounds(bounds.lo[free], bounds.hi[free]))
+        simplex = _simplex_min(lambda u: neg_log_likelihood(spec, on_free(u)), start[free],
+                               bounds.lo[free], bounds.hi[free])
         assert fit.converged
         assert fit.theta_hat[0] == 0.0 and fit.std_errors[0] == 0.0
-        assert fit.nll_min <= simplex.nll_min
+        assert fit.nll_min <= simplex + _ORACLE_MARGIN
         assert fit.nll_min <= neg_log_likelihood(spec, theta)
         assert np.all(np.isfinite(fit.std_errors)) and np.all(fit.std_errors[free] > 0)
 
@@ -342,9 +326,10 @@ class TestNewton:
         spec = _ramp_spec(GEV, config, theta, n, seed)
         bounds, start = infer_bounds(spec), default_start(spec)
         fit = fit_mle(spec, start, bounds)
-        simplex = nelder_mead(lambda t: neg_log_likelihood(spec, t), start, bounds)
+        simplex = _simplex_min(lambda t: neg_log_likelihood(spec, t), start, bounds.lo,
+                               bounds.hi)
         assert fit.converged
-        assert fit.nll_min <= simplex.nll_min + 1e-6
+        assert fit.nll_min <= simplex + _ORACLE_MARGIN
 
     def test_max_iter_caps_the_fit(self):
         spec = _gev_spec(n=400, seed=406)
@@ -390,13 +375,6 @@ class TestTermination:
         fit = fit_mle(spec, bounds=Bounds(lo, hi))
         assert not fit.converged and fit.termination == "hessian_not_finite"
         assert fit.std_errors is None
-
-    def test_nelder_mead(self):
-        def rosen(x):
-            return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-
-        assert nelder_mead(rosen, np.array([-1.2, 1.0])).termination == "converged"
-        assert nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5).termination == "max_iter"
 
     def test_no_descent_step_at_an_optimum(self):
         spec = _gev_spec(n=60, seed=30)
