@@ -5,10 +5,11 @@ Subcommands
 fit        maximum-likelihood fit; writes result.json
 sample     MCMC sampling (rw | mala | hmc), one trace CSV per chain plus
            summary.json and optional return_levels.csv. Every sampler runs
-           on u, where theta = x0 + F u: F is the Cholesky factor of the
-           MLE covariance with each marginal capped at its prior scale
-           (see _resolve_steps), so the chains follow the fit's
-           correlations; traces and summaries are written in theta.
+           on u, one entry per free coordinate, where theta = x0 + F u: F
+           is the Cholesky factor of the MLE covariance with each marginal
+           capped at its prior scale (see _resolve_steps), so the chains
+           follow the fit's correlations; traces and summaries are written
+           in theta.
 simulate   draw synthetic data from given true parameters; writes a CSV
            that feeds straight back into fit/sample
 lrt        likelihood-ratio test of two nested configurations; lrt.json
@@ -18,17 +19,18 @@ binds its command function, and argparse holds every default. Option values
 are checked when they are parsed: --num-samples, --thin, --chains,
 --leapfrog and --n must be >= 1, --burn-in and --seed >= 0, --temp, --eps
 and every --steps entry finite and > 0, and --return-period finite and > 1,
-so a violation exits 1 before any file is read or written.
+so a violation exits 1 before any file is read or written. The --out
+directory is made at a command's first write, after its inputs are checked.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
 are emitted as one JSON line on stderr. All floats are serialized with 17
 significant digits, so reruns with the same seed are byte-identical.
 
-GPD data are treated as pre-computed exceedances: the location (threshold)
-components are pinned to 0 by default (``infer_bounds`` pins them, and the
-default priors hold them within +-1e-8 of the pin) and only move if an
-explicit priors file (``sample --priors``) or bounds file (``fit --bounds``)
-says otherwise.
+GPD data are treated as pre-computed exceedances: ``infer_bounds`` pins the
+location (threshold) components to 0. ``fit`` and ``lrt`` hold them there
+unless a bounds file (``fit --bounds``) frees them; ``sample`` moves only the
+free coordinates, so every draw holds a pinned one at its pin, and an
+``--init`` off the pin is a configuration error.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import ExtremeFitError
 from .model import ModelSpec, _matvec, param_dim, param_names, realize, validate_config
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds, load_bounds
-from .priors import PriorComponent, PriorSet, default_priors, load_priors
+from .priors import PriorSet, default_priors, load_priors
 from .samplers import Target, posterior_target, sample_chains
 
 EXIT_OK = 0
@@ -57,7 +59,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 _CSV_BLOCK = 2048  # rows formatted per call by _write_csv
-_PIN = 1e-8  # half-width of the uniform default prior around a pinned coordinate
 # burn-in adapts each mala chain's step multiplier toward the optimal MALA
 # acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
 MALA_TARGET_ACCEPT = 0.574
@@ -110,6 +111,12 @@ def json_dumps(obj) -> str:
     parts: list[str] = []
     _json_fragment(obj, parts)
     return "".join(parts)
+
+
+def _output(args: argparse.Namespace, name: str) -> str:
+    """The path of output file name, creating the --out directory on first use."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _write_json(path: str, obj) -> None:
@@ -227,16 +234,6 @@ def _read_sized(path: str, load, label: str, size, spec: ModelSpec):
     return obj
 
 
-def _resolve_priors(path: str | None, spec: ModelSpec, bounds: Bounds) -> PriorSet:
-    """The priors file, or the default priors held near the coordinates that bounds pin."""
-    if path:
-        return _read_sized(path, load_priors, "priors", len, spec)
-    comps = list(default_priors(spec).components)
-    for i in np.flatnonzero(bounds.pinned):
-        comps[i] = PriorComponent("uniform", bounds.lo[i] - _PIN, bounds.hi[i] + _PIN)
-    return PriorSet(tuple(comps))
-
-
 def _resolve_init(init, spec: ModelSpec) -> np.ndarray:
     if init is not None:
         return _check_len(init, param_dim(spec), "--init")
@@ -255,34 +252,36 @@ def _prior_scales(priors: PriorSet) -> np.ndarray:
 
 def _resolve_steps(steps, spec: ModelSpec, priors: PriorSet, bounds: Bounds,
                    x0) -> tuple[np.ndarray, str]:
-    """The (d, d) factor F of the sampling coordinates and where it came from.
+    """The (d, k) factor F over the k free coordinates and where it came from.
 
-    The samplers move u, where theta = x0 + F u, with one scale for every
-    coordinate. The source is "steps" for an explicit --steps vector, which
-    gives F = diag(steps). Otherwise a quick maximum-likelihood fit gives
-    its covariance S, and on the free coordinates F is the Cholesky factor
-    of D S D with D = diag(min(1, prior scale / SE)): the fit's correlations,
-    each marginal scale capped at its prior's. A coordinate that the bounds
-    pin moves at its prior's scale ("mle"). When the fit fails or its
-    Hessian is unusable F is the diagonal of the prior scales shrunk by 20x
-    ("prior_fallback").
+    The samplers move u in R^k, where theta = x0 + F u; F's rows at the
+    coordinates that the bounds pin are 0, so every draw holds them at x0.
+    The source is "steps" for an explicit --steps vector, which gives the
+    free columns of diag(steps). Otherwise a quick maximum-likelihood fit
+    gives its covariance S, and F is the Cholesky factor of D S D over the
+    free coordinates with D = diag(min(1, prior scale / SE)): the fit's
+    correlations, each marginal scale capped at its prior's ("mle"). When
+    the fit fails or its Hessian is unusable F is the diagonal of the prior
+    scales shrunk by 20x ("prior_fallback").
     """
+    free = ~bounds.pinned
     if steps is not None:
-        return np.diag(_check_len(steps, param_dim(spec), "--steps")), "steps"
-    prior_scales = np.maximum(_prior_scales(priors), 1e-12)
-    factor, source = np.diag(0.05 * prior_scales), "prior_fallback"
-    try:
-        fit = fit_mle(spec, x0, bounds)
-        if fit.covariance is not None:
-            free = ~bounds.pinned
-            d = np.minimum(1.0, prior_scales[free] / fit.std_errors[free])
-            factor = np.diag(prior_scales)
-            factor[np.ix_(free, free)] = np.linalg.cholesky(
-                fit.covariance[np.ix_(free, free)] * d[:, None] * d)
-            source = "mle"
-    except (ExtremeFitError, np.linalg.LinAlgError):
-        pass
-    return factor, source
+        factor, source = np.diag(_check_len(steps, param_dim(spec), "--steps")), "steps"
+    else:
+        prior_scales = np.maximum(_prior_scales(priors), 1e-12)
+        factor, source = np.diag(0.05 * prior_scales), "prior_fallback"
+        try:
+            fit = fit_mle(spec, x0, bounds)
+            if fit.covariance is not None:
+                d = np.minimum(1.0, prior_scales[free] / fit.std_errors[free])
+                factor = np.zeros_like(factor)
+                factor[np.ix_(free, free)] = np.linalg.cholesky(
+                    fit.covariance[np.ix_(free, free)] * d[:, None] * d)
+                source = "mle"
+        except (ExtremeFitError, np.linalg.LinAlgError):
+            pass
+    # boolean column indexing gives F order, which changes the matvecs' last bits
+    return np.ascontiguousarray(factor[:, free]), source
 
 
 def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
@@ -327,18 +326,24 @@ def _cmd_fit(args: argparse.Namespace) -> None:
         payload["return_levels"] = return_levels(
             spec, result.theta_hat, args.return_period
         ).tolist()
-    _write_json(os.path.join(args.out, "result.json"), payload)
+    _write_json(_output(args, "result.json"), payload)
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
     data, covariates, _ = load_csv(args.input)
     spec = _build_spec(args.dist, args.config, data, covariates)
     bounds = infer_bounds(spec)
-    priors = _resolve_priors(args.priors_path, spec, bounds)
+    priors = (_read_sized(args.priors_path, load_priors, "priors", len, spec)
+              if args.priors_path else default_priors(spec))
     x0 = _resolve_init(args.init, spec)
+    off_pin = np.flatnonzero(bounds.pinned & (x0 != bounds.lo))
+    if off_pin.size:
+        i = off_pin[0]
+        raise ConfigError(f"--init entry {i} ({param_names(spec)[i]}) must equal its pin "
+                          f"{bounds.lo[i]:.17g}, got {x0[i]:.17g}")
     factor, steps_source = _resolve_steps(args.steps, spec, priors, bounds, x0)
     target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
-    dim = x0.size
+    dim = factor.shape[1]  # u's length: the free coordinates
     scale = 1.0 if args.steps is not None else {
         "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}[args.sampler]
     chains = [
@@ -352,7 +357,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
 
     names = param_names(spec)
     for k, chain in enumerate(chains):
-        _write_csv(os.path.join(args.out, f"trace_{k}.csv"), names, chain.samples)
+        _write_csv(_output(args, f"trace_{k}.csv"), names, chain.samples)
 
     rows = posterior_summary(chains, spec)
     pooled = np.vstack([c.samples for c in chains])
@@ -385,12 +390,12 @@ def _cmd_sample(args: argparse.Namespace) -> None:
             for r in rows
         ],
     }
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    _write_json(_output(args, "summary.json"), summary)
 
     if args.return_period is not None:
         theta_mean = pooled.mean(axis=0)
         levels = return_levels(spec, theta_mean, args.return_period)
-        _write_csv(os.path.join(args.out, "return_levels.csv"), ["index", "return_level"],
+        _write_csv(_output(args, "return_levels.csv"), ["index", "return_level"],
                    np.column_stack([np.arange(levels.size, dtype=float), levels]))
 
 
@@ -415,7 +420,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     rng = RngState(args.seed, 0)
     values = quantile_values(spec.family, rng.uniforms(n), loc, scale, shape)
     _write_csv(
-        os.path.join(args.out, "simulated.csv"),
+        _output(args, "simulated.csv"),
         ["value"] + cov_names,
         (np.column_stack([values, covariates]) if cov_names else values.reshape(-1, 1)),
     )
@@ -426,7 +431,7 @@ def _cmd_lrt(args: argparse.Namespace) -> None:
     result = lrt(_build_spec(args.dist, args.null_config, data, covariates),
                  _build_spec(args.dist, args.alt_config, data, covariates))
     _write_json(
-        os.path.join(args.out, "lrt.json"),
+        _output(args, "lrt.json"),
         {
             "statistic": result.statistic,
             "df": result.df,
@@ -583,7 +588,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
-        os.makedirs(args.out, exist_ok=True)
         args.func(args)
         return EXIT_OK
     except ConfigError as exc:

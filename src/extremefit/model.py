@@ -46,6 +46,8 @@ from .distributions import EvdFamily, ParamTriple, _terms
 from .errors import DomainError
 from .lmoments import stationary_estimate
 
+_BATCH_VALUES = 16384  # most (K, n) values per kernel pass; a longer batch is split
+
 
 class RealizedParams(NamedTuple):
     """Per-observation (location, scale, shape) arrays."""
@@ -259,8 +261,16 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool):
     with such a scale, or whose gradient is not finite, or (when value is
     asked too) whose nll is +inf; every other row is finite. For the
     log-linear scale the inner derivative multiplies by sigma_t; identity
-    links pass covariates straight through.
+    links pass covariates straight through. A (K, d) theta whose (K, n)
+    temporaries would hold more than _BATCH_VALUES values goes through in
+    blocks of max(1, _BATCH_VALUES // n) rows, with the same bits per row.
     """
+    rows = max(1, _BATCH_VALUES // spec.n_obs)
+    if theta.ndim == 2 and len(theta) > rows:
+        blocks = [_nll_terms(spec, theta[i:i + rows], value, grad)
+                  for i in range(0, len(theta), rows)]
+        return tuple(None if part[0] is None else np.concatenate(part)
+                     for part in zip(*blocks))
     (loc, scale, shape), ok = _checked_params(spec, theta)
     logpdf, parts = _terms(spec.family, spec.data, loc, scale, shape, value, grad)
     nll = g = None

@@ -5,7 +5,7 @@ fit when not supplied, with a projected, damped Newton method (Bertsekas
 1982, SIAM J. Control Optim. 20(2); Hosking 1985, AS 215, for the GEV):
 
 * The Hessian is the central difference of ``grad_neg_log_likelihood``, its
-  points sent as (K, d) batches. Coordinate i steps by 1e-6 times the width
+  points sent as one (K, d) batch. Coordinate i steps by 1e-6 times the width
   of its box (times 1 when the box is unbounded), never by |theta_i|, so the
   Hessian does not depend on where the data sit on the number line.
 * The step uses the absolute eigenvalues of the width-scaled Hessian, floored
@@ -174,32 +174,19 @@ def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clip_into(x: np.ndarray, bounds: Bounds) -> np.ndarray:
-    out = x.copy()
-    span = np.where(
-        np.isfinite(bounds.hi - bounds.lo), bounds.hi - bounds.lo, 1.0
-    )
-    lo = np.where(np.isfinite(bounds.lo), bounds.lo + 1e-6 * span, -np.inf)
-    hi = np.where(np.isfinite(bounds.hi), bounds.hi - 1e-6 * span, np.inf)
-    return np.clip(out, lo, hi)
-
-
 def _curvature(spec: ModelSpec, theta: np.ndarray, free: np.ndarray, steps: np.ndarray):
     """Gradient at theta and the central-difference Hessian over the free coordinates.
 
-    The 2k + 1 points go to grad_neg_log_likelihood in (K, d) batches of at
-    most max(1, 16384 // n) rows, as dic batches its deviances, so that the
-    (K, n) temporaries stay small for long series. Entries that a point
-    outside the support makes undefined come back NaN.
+    The 2k + 1 points go to grad_neg_log_likelihood as one (K, d) batch,
+    which the model splits for long series. Entries that a point outside
+    the support makes undefined come back NaN.
     """
     idx = np.flatnonzero(free)
     k = np.arange(idx.size)
     points = np.repeat(theta[None], 2 * idx.size + 1, axis=0)
     points[1 + k, idx] += steps[idx]
     points[1 + idx.size + k, idx] -= steps[idx]
-    rows = max(1, 16384 // spec.n_obs)
-    grads = np.concatenate([grad_neg_log_likelihood(spec, points[i:i + rows])
-                            for i in range(0, len(points), rows)])
+    grads = grad_neg_log_likelihood(spec, points)
     span = points[1 + k, idx] - points[1 + idx.size + k, idx]  # the steps as rounded
     jac = (grads[1:1 + idx.size, idx] - grads[1 + idx.size:, idx]) / span[:, None]
     return grads[0], 0.5 * (jac + jac.T)
@@ -294,10 +281,10 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
         raise DomainError(f"bounds have length {bounds.lo.size}, expected {dim}")
     if x0 is None:
         x0 = default_start(spec)
-    x0 = _clip_into(np.asarray(x0, dtype=float), bounds)
+    x0 = np.clip(np.asarray(x0, dtype=float), bounds.lo, bounds.hi)
     max_iter = _NEWTON_ITER if max_iter is None else int(max_iter)
 
-    start = _clip_into(_into_support(spec, x0), bounds)
+    start = np.clip(_into_support(spec, x0), bounds.lo, bounds.hi)
     f_start = neg_log_likelihood(spec, start)
     if not math.isfinite(f_start):
         raise FitError("the nll is not finite at the start, even with the shape shrunk "

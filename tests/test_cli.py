@@ -47,6 +47,14 @@ def sim_csv(tmp_path):
     return tmp_path / "sim" / "simulated.csv"
 
 
+@pytest.fixture
+def gpd_csv(tmp_path):
+    """Stationary GPD exceedances of the threshold 0."""
+    assert main(["simulate", "--dist", "gpd", "--true-params", "0,2,0.1", "--n", "200",
+                 "--seed", "3", "--out", str(tmp_path / "gpd")]) == EXIT_OK
+    return tmp_path / "gpd" / "simulated.csv"
+
+
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -443,7 +451,31 @@ class TestSample:
         assert res.returncode == EXIT_OK, res.stderr
         summary = json.loads((tmp_path / "gs" / "summary.json").read_text())
         loc = summary["params"][0]
-        assert abs(loc["mean"]) <= 1e-8
+        assert loc["mean"] == 0.0
+
+    @pytest.mark.parametrize("sampler", ["rw", "mala", "hmc"])
+    def test_gpd_steps_move_only_the_free_coordinates(self, tmp_path, gpd_csv, sampler):
+        # --steps gives the threshold a width too; the pinned threshold ignores it
+        out = tmp_path / "gs"
+        assert main(["sample", "--input", str(gpd_csv), "--dist", "gpd",
+                     "--sampler", sampler, "--steps", "0.1,0.2,0.05",
+                     "--num-samples", "40" if sampler == "hmc" else "200", "--chains", "2",
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert min(summary["acceptance_rates"]) > 0.0
+        loc = summary["params"][0]
+        assert (loc["mean"], loc["sd"], loc["rhat"], loc["ess"]) == (0.0, 0.0, None, 0.0)
+        for k in range(2):
+            trace = np.loadtxt(out / f"trace_{k}.csv", delimiter=",", skiprows=1)
+            assert np.all(trace[:, 0] == 0.0) and np.all(np.ptp(trace[:, 1:], axis=0) > 0)
+
+    def test_init_off_the_pin_is_config_error(self, tmp_path, capsys, gpd_csv):
+        out = tmp_path / "gs"
+        assert main(["sample", "--input", str(gpd_csv), "--dist", "gpd", "--init=-0.5,2,0.1",
+                     "--num-samples", "20", "--chains", "1", "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "loc_intercept" in err["message"]
+        assert not out.exists()
 
 
     def test_gpd_lmoment_start_outside_support(self, tmp_path):
@@ -563,6 +595,20 @@ class TestArgumentErrors:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", []),
+        ("sample", []),
+        ("lrt", ["--null-config", "0,0,0", "--alt-config", "1,0,0"]),
+    ])
+    def test_missing_input_leaves_no_output_directory(self, tmp_path, capsys, command, extra):
+        out = tmp_path / "newdir"
+        assert main([command, "--input", str(tmp_path / "missing.csv"), *extra,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "input file not found" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
 
 class TestRuntimeImports:

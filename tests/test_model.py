@@ -25,6 +25,7 @@ from extremefit import (
     realize,
     validate_config,
 )
+from extremefit import model
 from _cases import ROW_KINDS, batch_rows, random_model_case
 
 GEV = EvdFamily.GEV
@@ -300,6 +301,23 @@ class TestBatchAxis:
             assert np.array_equal(value, target.log_post(x))
             assert np.array_equal(grad, target.grad_log_post(x), equal_nan=True)
             assert np.all(np.isnan(grad[np.asarray(value) == -math.inf]))
+
+    @pytest.mark.parametrize("index", [0, 1, 4, 5])
+    def test_long_batch_goes_through_in_blocks(self, index, monkeypatch):
+        # K * n = 7 * 5000 values: blocks of 3, 3 and 1 rows, each row as a single call
+        spec, theta = random_model_case(index, n_obs=5000)
+        rows = batch_rows(spec, theta, ["inside", "outside", "inside", "zero_scale",
+                                        "inside", "inside", "bad_scale"], 8)
+        sizes = []
+        terms = model._terms
+        monkeypatch.setattr(model, "_terms", lambda *a: sizes.append(a[2].size) or terms(*a))
+        nll, grad = nll_and_grad(spec, rows)
+        assert sizes == [3 * 5000, 3 * 5000, 5000]
+        assert np.array_equal(nll, neg_log_likelihood(spec, rows))
+        assert np.array_equal(grad, grad_neg_log_likelihood(spec, rows), equal_nan=True)
+        for row, value, g in zip(rows, nll, grad):
+            assert neg_log_likelihood(spec, row) == value
+            assert np.array_equal(_grad_or_nan(spec, row), g, equal_nan=True)
 
     def test_realize_rows(self):
         spec, theta = random_model_case(4)  # GEV (1, 1, 1)

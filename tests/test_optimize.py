@@ -145,6 +145,18 @@ class TestFitMle:
         fit = fit_mle(spec, bounds=bounds)
         assert bounds.contains(fit.theta_hat)
 
+    def test_start_on_the_shape_bound(self):
+        # the start's shape sits exactly on the box's upper end, with a scale
+        # wide enough that every observation stays inside the support
+        spec = _gev_spec(n=400, seed=409)
+        bounds = infer_bounds(spec)
+        start = default_start(spec) * [1.0, 3.0, 1.0]
+        start[2] = bounds.hi[2]
+        assert math.isfinite(neg_log_likelihood(spec, start))
+        fit = fit_mle(spec, start, bounds)
+        assert fit.converged
+        assert fit.nll_min == pytest.approx(fit_mle(spec, bounds=bounds).nll_min, abs=1e-8)
+
     def test_bad_bounds_length(self):
         spec = _gev_spec(n=400, seed=408)
         with pytest.raises(DomainError):
