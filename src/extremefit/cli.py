@@ -9,7 +9,9 @@ sample     MCMC sampling (rw | mala | hmc), one trace CSV per chain plus
            is the Cholesky factor of the MLE covariance with each marginal
            capped at its prior scale (see _resolve_steps), so the chains
            follow the fit's correlations; traces and summaries are written
-           in theta.
+           in theta. hmc defaults to a path of length about 2 in u: step
+           0.8 * k**(-1/4) over the k free coordinates and ceil(2 / step)
+           leapfrog steps, with no adaptation.
 simulate   draw synthetic data from given true parameters; writes a CSV
            that feeds straight back into fit/sample
 lrt        likelihood-ratio test of two nested configurations; lrt.json
@@ -29,8 +31,8 @@ significant digits, so reruns with the same seed are byte-identical.
 GPD data are treated as pre-computed exceedances: ``infer_bounds`` pins the
 location (threshold) components to 0. ``fit`` and ``lrt`` hold them there
 unless a bounds file (``fit --bounds``) frees them; ``sample`` moves only the
-free coordinates, so every draw holds a pinned one at its pin, and an
-``--init`` off the pin is a configuration error.
+free coordinates, so every draw holds a pinned one at its pin. In both
+commands an ``--init`` off a pin is a configuration error.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +65,12 @@ _CSV_BLOCK = 2048  # rows formatted per call by _write_csv
 # burn-in adapts each mala chain's step multiplier toward the optimal MALA
 # acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
 MALA_TARGET_ACCEPT = 0.574
+# hmc runs in u, where the posterior is close to N(0, I): unless --eps or
+# --leapfrog is given, its step is HMC_STEP_CONST * k**(-1/4) over the k free
+# coordinates (Beskos, Pillai, Roberts, Sanz-Serna & Stuart 2013, Bernoulli
+# 19) and its leapfrog count ceil(HMC_PATH / step), the same for every chain
+HMC_PATH = 2.0
+HMC_STEP_CONST = 0.8
 
 
 class ConfigError(Exception):
@@ -89,6 +98,10 @@ def _json_fragment(obj, out: list) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        if len(obj) and all(isinstance(v, float) for v in obj) and all(map(math.isfinite, obj)):
+            # the same text as one _format_float per entry, from one % over a template
+            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -143,15 +156,33 @@ def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
 # CSV ingestion
 
 
+def _loadtxt(path: str):
+    """np.loadtxt's parse of the rows after the header, or None where it fails.
+
+    Its C parser reads a long plain file several times faster than the csv
+    module; a file with no data rows, which it warns about, gives None too.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                              encoding="utf-8")
+    except (ValueError, OSError, UserWarning):
+        return None
+
+
 def _read_table(path: str):
     """Read a header-first numeric CSV into (header, rows x columns array).
 
     Blank lines are skipped. Rows with a missing, extra, unparsable or
     non-finite cell are rejected with their row numbers, and a path that
-    cannot be read as UTF-8 text with the path.
+    cannot be read as UTF-8 text with the path. The table is _loadtxt's
+    when that has the header's width and only finite cells; any other file
+    is read row by row, which gives the same array or names the bad rows.
     """
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
+    table = _loadtxt(path)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -159,6 +190,8 @@ def _read_table(path: str):
                 header = [h.strip() for h in next(reader)]
             except StopIteration:
                 raise ConfigError(f"{path} is empty")
+            if table is not None and table.shape[1] == len(header) and np.isfinite(table).all():
+                return header, table
             rows: list[list[float]] = []
             bad_rows: list[int] = []
             for row_no, row in enumerate(reader, start=1):
@@ -234,10 +267,20 @@ def _read_sized(path: str, load, label: str, size, spec: ModelSpec):
     return obj
 
 
-def _resolve_init(init, spec: ModelSpec) -> np.ndarray:
-    if init is not None:
-        return _check_len(init, param_dim(spec), "--init")
-    return default_start(spec)
+def _resolve_init(init, spec: ModelSpec, bounds: Bounds) -> np.ndarray:
+    """The --init vector, or the default start when there is none.
+
+    An --init entry at a coordinate that the bounds pin must equal the pin.
+    """
+    if init is None:
+        return default_start(spec)
+    x0 = _check_len(init, param_dim(spec), "--init")
+    off_pin = np.flatnonzero(bounds.pinned & (x0 != bounds.lo))
+    if off_pin.size:
+        i = off_pin[0]
+        raise ConfigError(f"--init entry {i} ({param_names(spec)[i]}) must equal its pin "
+                          f"{bounds.lo[i]:.17g}, got {x0[i]:.17g}")
+    return x0
 
 
 def _prior_scales(priors: PriorSet) -> np.ndarray:
@@ -313,7 +356,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     spec = _build_spec(args.dist, args.config, data, covariates)
     bounds = (_read_sized(args.bounds_path, load_bounds, "bounds", lambda b: b.lo.size, spec)
               if args.bounds_path else infer_bounds(spec))
-    result = fit_mle(spec, _resolve_init(args.init, spec), bounds)
+    result = fit_mle(spec, _resolve_init(args.init, spec, bounds), bounds)
     payload = {
         "param_names": param_names(spec),
         "theta_hat": result.theta_hat.tolist(),
@@ -335,22 +378,21 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     bounds = infer_bounds(spec)
     priors = (_read_sized(args.priors_path, load_priors, "priors", len, spec)
               if args.priors_path else default_priors(spec))
-    x0 = _resolve_init(args.init, spec)
-    off_pin = np.flatnonzero(bounds.pinned & (x0 != bounds.lo))
-    if off_pin.size:
-        i = off_pin[0]
-        raise ConfigError(f"--init entry {i} ({param_names(spec)[i]}) must equal its pin "
-                          f"{bounds.lo[i]:.17g}, got {x0[i]:.17g}")
+    x0 = _resolve_init(args.init, spec, bounds)
     factor, steps_source = _resolve_steps(args.steps, spec, priors, bounds, x0)
     target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
     dim = factor.shape[1]  # u's length: the free coordinates
     scale = 1.0 if args.steps is not None else {
         "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}[args.sampler]
+    # a given flag replaces only its own value: L never follows a user's eps
+    rule_eps = HMC_STEP_CONST * dim ** -0.25
+    eps = rule_eps if args.eps is None else args.eps
+    leapfrog = math.ceil(HMC_PATH / rule_eps) if args.leapfrog is None else args.leapfrog
     chains = [
         replace(chain, samples=to_theta(chain.samples)) for chain in sample_chains(
             args.sampler, target, args.num_samples, np.zeros(dim), scale,
             [RngState(args.seed, k) for k in range(args.chains)], T=args.temp,
-            burn_in=args.burn_in, thin=args.thin, eps=args.eps, n_leapfrog=args.leapfrog,
+            burn_in=args.burn_in, thin=args.thin, eps=eps, n_leapfrog=leapfrog,
             target_accept=MALA_TARGET_ACCEPT if args.sampler == "mala" else None,
         )
     ]
@@ -374,6 +416,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "temperature": args.temp,
         "acceptance_rates": [c.acceptance_rate for c in chains],
         "step_scale": [c.step_scale for c in chains],
+        "leapfrog": leapfrog if args.sampler == "hmc" else None,
         "steps_source": steps_source,
         "dic": dic_value,
         "params": [
@@ -558,10 +601,12 @@ def build_parser() -> _Parser:
                                "mass**-0.5, in place of the MLE covariance")
     p_sample.add_argument("--priors", dest="priors_path", default=None,
                           help="priors JSON file")
-    p_sample.add_argument("--eps", type=positive, default=0.2,
-                          help="hmc leapfrog step size (> 0)")
-    p_sample.add_argument("--leapfrog", type=count, default=10,
-                          help="hmc leapfrog steps (>= 1)")
+    p_sample.add_argument("--eps", type=positive, default=None,
+                          help="hmc leapfrog step size in u (> 0; default 0.8 * k**-0.25 "
+                               "for k free coordinates)")
+    p_sample.add_argument("--leapfrog", type=count, default=None,
+                          help="hmc leapfrog steps (>= 1; default ceil(2 / the default "
+                               "--eps))")
     p_sample.add_argument("--return-period", type=period, default=None,
                           help="return period (> 1)")
 

@@ -123,26 +123,29 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
     the support) when grad, and None for a part not asked for.
     """
     z, inside = _standardize(family, x, loc, scale, shape)
-    h, y = _h(shape, z)
-    if family is EvdFamily.GEV:
-        with np.errstate(over="ignore"):
-            exp_h = np.exp(-h)
     logpdf = parts = None
-    if value:
-        out = -np.log(scale) - (1.0 + shape) * h
+    # far out in a tail exp(-h) and z * z overflow, to an infinite value or a
+    # non-finite gradient that the callers reject, and so does the series
+    # that _ratio computes on every element and then overwrites there
+    with np.errstate(over="ignore"):
+        h, y = _h(shape, z)
         if family is EvdFamily.GEV:
-            out -= exp_h
-        logpdf = np.where(inside, out, -np.inf)
-    if grad:
-        inv_t = 1.0 / (1.0 + y)  # dh/dz
-        dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
-        dlp_dh = -(1.0 + shape)
-        if family is EvdFamily.GEV:
-            dlp_dh = dlp_dh + exp_h
-        gmu = -dlp_dh * inv_t / scale
-        gsig = -(1.0 + dlp_dh * z * inv_t) / scale
-        gxi = dlp_dh * dh_dxi - h
-        parts = gmu, gsig, gxi
+            exp_h = np.exp(-h)
+        if value:
+            out = -np.log(scale) - (1.0 + shape) * h
+            if family is EvdFamily.GEV:
+                out -= exp_h
+            logpdf = np.where(inside, out, -np.inf)
+        if grad:
+            inv_t = 1.0 / (1.0 + y)  # dh/dz
+            dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
+            dlp_dh = -(1.0 + shape)
+            if family is EvdFamily.GEV:
+                dlp_dh = dlp_dh + exp_h
+            gmu = -dlp_dh * inv_t / scale
+            gsig = -(1.0 + dlp_dh * z * inv_t) / scale
+            gxi = dlp_dh * dh_dxi - h
+            parts = gmu, gsig, gxi
     return logpdf, parts
 
 
@@ -186,12 +189,9 @@ def cdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     """Vectorized CDF (clamped to [0, 1] outside the support)."""
     x, loc, scale, shape = _arrays(x, loc, scale, shape)
     z, inside = _standardize(family, x, loc, scale, shape)
-    h, _ = _h(shape, z)
-    if family is EvdFamily.GEV:
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-h))
-    else:
-        out = -np.expm1(-h)
+    with np.errstate(over="ignore"):  # as in _terms
+        h, _ = _h(shape, z)
+        out = np.exp(-np.exp(-h)) if family is EvdFamily.GEV else -np.expm1(-h)
     # outside the support: 1 beyond a finite upper endpoint (xi < 0), else 0
     return np.where(inside, out, (shape < 0) & (x >= loc))
 

@@ -4,10 +4,13 @@
 fit when not supplied, with a projected, damped Newton method (Bertsekas
 1982, SIAM J. Control Optim. 20(2); Hosking 1985, AS 215, for the GEV):
 
-* The Hessian is the central difference of ``grad_neg_log_likelihood``, its
-  points sent as one (K, d) batch. Coordinate i steps by 1e-6 times the width
-  of its box (times 1 when the box is unbounded), never by |theta_i|, so the
-  Hessian does not depend on where the data sit on the number line.
+* The Hessian is the central difference of the nll's gradient, its points
+  sent to ``nll_and_grad`` as one (K, d) batch. Coordinate i steps by 1e-6
+  times the width of its box (times 1 when the box is unbounded), never by
+  |theta_i|, so the Hessian does not depend on where the data sit on the
+  number line. A full Newton step is tried with such a batch at its end
+  point, so when it is taken the next iteration's gradient and Hessian are
+  already there; shorter steps evaluate the nll alone.
 * The step uses the absolute eigenvalues of the width-scaled Hessian, floored
   away from 0, so it descends even where the nll is not convex.
 * A pinned coordinate (lo == hi, as infer_bounds pins a GPD threshold) is
@@ -34,7 +37,7 @@ import numpy as np
 
 from .distributions import EvdFamily
 from .errors import DomainError, FitError
-from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, param_dim, realize
+from .model import ModelSpec, neg_log_likelihood, nll_and_grad, param_dim, realize
 
 _HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
 _EIG_FLOOR = 1e-10    # smallest |eigenvalue| of the scaled Hessian, relative to the largest
@@ -73,8 +76,9 @@ class Bounds:
 class FitResult:
     """A minimum of the nll and how fit_mle reached it.
 
-    n_evals counts nll evaluations plus gradient rows. termination names why
-    the fit stopped: "converged", "max_iter", "hessian_not_finite" or
+    n_evals counts kernel rows: 1 per nll evaluated alone, 2k + 1 per
+    Hessian batch over k free coordinates. termination names why the fit
+    stopped: "converged", "max_iter", "hessian_not_finite" or
     "no_descent_step". covariance is the (d, d) inverse Hessian at
     theta_hat, with zero rows and columns at pinned coordinates; it and
     std_errors, the square roots of its diagonal, are None together.
@@ -175,21 +179,21 @@ def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
 
 
 def _curvature(spec: ModelSpec, theta: np.ndarray, free: np.ndarray, steps: np.ndarray):
-    """Gradient at theta and the central-difference Hessian over the free coordinates.
+    """The nll and gradient at theta and the central-difference Hessian of the free coordinates.
 
-    The 2k + 1 points go to grad_neg_log_likelihood as one (K, d) batch,
-    which the model splits for long series. Entries that a point outside
-    the support makes undefined come back NaN.
+    The 2k + 1 points go to nll_and_grad as one (K, d) batch, which the
+    model splits for long series. Entries that a point outside the support
+    makes undefined come back NaN.
     """
     idx = np.flatnonzero(free)
     k = np.arange(idx.size)
     points = np.repeat(theta[None], 2 * idx.size + 1, axis=0)
     points[1 + k, idx] += steps[idx]
     points[1 + idx.size + k, idx] -= steps[idx]
-    grads = grad_neg_log_likelihood(spec, points)
+    nll, grads = nll_and_grad(spec, points)
     span = points[1 + k, idx] - points[1 + idx.size + k, idx]  # the steps as rounded
     jac = (grads[1:1 + idx.size, idx] - grads[1 + idx.size:, idx]) / span[:, None]
-    return grads[0], 0.5 * (jac + jac.T)
+    return float(nll[0]), grads[0], 0.5 * (jac + jac.T)
 
 
 def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
@@ -201,10 +205,13 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
     FitResult's four reasons.
     """
     lo, hi = bounds.lo, bounds.hi
-    evals = 0
+    diff_steps, rows = _HESS_STEP * scale, 2 * int(free.sum()) + 1
+    evals, curv = 0, None
     for it in itertools.count():
-        g, hess = _curvature(spec, theta, free, _HESS_STEP * scale)
-        evals += 2 * int(free.sum()) + 1
+        if curv is None:
+            curv = _curvature(spec, theta, free, diff_steps)
+            evals += rows
+        _, g, hess = curv
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
             return theta, f, "hessian_not_finite", None, evals
         move = free & ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
@@ -229,8 +236,13 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
             cand = np.clip(theta + alpha * step, lo, hi)
             if np.array_equal(cand, theta):
                 break
-            f_cand = neg_log_likelihood(spec, cand)
-            evals += 1
+            if alpha == 1.0:  # the full step, mostly taken, brings its next curvature along
+                curv = _curvature(spec, cand, free, diff_steps)
+                f_cand = curv[0]
+                evals += rows
+            else:
+                curv, f_cand = None, neg_log_likelihood(spec, cand)
+                evals += 1
             # false for +inf, and for a step that rounding leaves at f
             if f_cand < f and f_cand <= f + _ARMIJO * float(g @ (cand - theta)):
                 theta, f, moved = cand, f_cand, True

@@ -17,13 +17,16 @@ from extremefit import (
     realize,
     sample_chains,
 )
+from extremefit import cli
 from extremefit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     MALA_TARGET_ACCEPT,
     ConfigError,
+    _format_float,
     _prior_scales,
+    _read_table,
     _write_csv,
     json_dumps,
     load_csv,
@@ -111,6 +114,54 @@ class TestLoadCsv:
             assert str(path) in str(info.value)
 
 
+_TABLES = {
+    "plain": "value,c\n1.5,2\n-3e-5,4\n",
+    "crlf": "value,c\r\n1.5,2\r\n3,4\r\n",
+    "no final newline": "value\n1\n2",
+    "blank lines": "value,c\n\n1,2\n\n3,4\n\n",
+    "whitespace line": "value\n1\n   \n2\n",
+    "empty-cells line": "value,c\n1,2\n,\n3,4\n",
+    "hash line": "value\n1\n# note\n2\n",
+    "quoted cells": 'value,c\n"1.5",2\n3,"4"\n',
+    "quoted comma": 'value\n"1,5"\n',
+    "spaces": "value,c\n 1.5 , 2 \n\t3,4\n",
+    "nan": "value\n1\nnan\n",
+    "inf": "value\ninf\n2\n",
+    "underscore": "value\n1_0\n2\n",
+    "missing cell": "value,c\n1,2\n3\n",
+    "missing everywhere": "value,c\n1\n3\n",
+    "extra cell": "value,c\n1,2\n3,4,5\n",
+    "extra everywhere": "value,c\n1,2,9\n3,4,5\n",
+    "trailing comma": "value\n1,\n",
+    "header only": "value,c\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", _TABLES.values(), ids=_TABLES.keys())
+def test_loadtxt_and_row_by_row_readers_agree(tmp_path, monkeypatch, text):
+    # the same array, or the same ConfigError, with and without np.loadtxt
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+
+    def read():
+        try:
+            header, table = _read_table(str(path))
+        except ConfigError as exc:
+            return str(exc)
+        return header, table.shape, table.tobytes()
+
+    fast = read()
+    monkeypatch.setattr(cli, "_loadtxt", lambda path: None)
+    assert read() == fast
+
+
+def test_loadtxt_reads_a_plain_file(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(_TABLES["plain"])
+    np.testing.assert_array_equal(cli._loadtxt(str(path)), [[1.5, 2.0], [-3e-5, 4.0]])
+
+
 class TestJsonDumps:
     def test_seventeen_significant_digits(self):
         out = json_dumps({"x": 0.1})
@@ -124,6 +175,16 @@ class TestJsonDumps:
         values = np.random.default_rng(0).standard_normal(100).tolist()
         decoded = json.loads(json_dumps(values))
         assert decoded == values
+
+    def test_float_lists_same_bytes_as_formatting_each_entry(self):
+        rng = np.random.default_rng(4)
+        scattered = (rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)).tolist()
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16, 2.0**53 + 2.0]
+        for values in (scattered + special, special[:1], np.array(special)):
+            assert json_dumps(values) == "[" + ", ".join(map(_format_float, values)) + "]"
+        # a list holding anything but finite floats takes the entry-by-entry path
+        assert json_dumps([1.0, math.nan, 2.5]) == "[1, null, 2.5]"
+        assert json_dumps([0.5, True, 3, None]) == "[0.5, true, 3, null]"
 
 
 class TestWriteCsv:
@@ -247,6 +308,21 @@ class TestFit:
         assert json.loads(res.stderr)["error"] == "numerical"
 
 
+    def test_init_off_the_pin_is_config_error(self, tmp_path, capsys, gpd_csv):
+        out = tmp_path / "f"
+        assert main(["fit", "--input", str(gpd_csv), "--dist", "gpd", "--init=-0.5,2,0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "loc_intercept" in err["message"]
+        assert not out.exists()
+        # a bounds file that frees the threshold lets the same --init start the fit
+        (tmp_path / "b.json").write_text(json.dumps({"lo": [-1, 1e-8, -0.5],
+                                                     "hi": [0.05, 100, 0.5]}))
+        assert main(["fit", "--input", str(gpd_csv), "--dist", "gpd", "--init=-0.5,2,0.1",
+                     "--bounds", str(tmp_path / "b.json"), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "result.json").read_text())["theta_hat"][0] != 0.0
+
+
 class TestSample:
     def test_summary_schema_and_traces(self, tmp_path, sim_csv):
         res = run_cli(
@@ -260,9 +336,9 @@ class TestSample:
         assert set(summary) == {
             "sampler", "dist", "config", "num_samples", "burn_in", "thin",
             "chains", "seed", "temperature", "acceptance_rates", "step_scale",
-            "steps_source", "dic", "params",
+            "leapfrog", "steps_source", "dic", "params",
         }
-        assert summary["sampler"] == "rw"
+        assert summary["sampler"] == "rw" and summary["leapfrog"] is None
         assert len(summary["acceptance_rates"]) == 2
         assert len(summary["params"]) == 4
         for row in summary["params"]:
@@ -323,6 +399,72 @@ class TestSample:
         rw = summary("--sampler", "rw", "--steps", "0.5,0.01,0.5,0.05")
         assert rw["step_scale"] == [1.0, 1.0] and rw["steps_source"] == "steps"
 
+    @pytest.mark.parametrize("dist, true_params, free", [
+        ("gev", None, 4),  # GEV (1,0,0): every coordinate is free
+        ("gpd", "0,0.5,0.3,0.1", 3),  # GPD (0,1,0): the threshold is pinned
+    ])
+    def test_hmc_default_step_and_path(self, tmp_path, sim_csv, dist, true_params, free):
+        data, config = sim_csv, "1,0,0"
+        if dist == "gpd":
+            config = "0,1,0"
+            assert main(["simulate", "--dist", "gpd", "--config", config, "--true-params",
+                         true_params, "--n", "150", "--seed", "8",
+                         "--out", str(tmp_path / "g")]) == EXIT_OK
+            data = tmp_path / "g" / "simulated.csv"
+
+        def summary(*extra):
+            out = tmp_path / f"h{len(list(tmp_path.iterdir()))}"
+            assert main(["sample", "--input", str(data), "--dist", dist, "--config", config,
+                         "--sampler", "hmc", "--num-samples", "30", "--chains", "2",
+                         "--seed", "2", "--out", str(out), *extra]) == EXIT_OK
+            return json.loads((out / "summary.json").read_text())
+
+        eps = 0.8 * free ** -0.25
+        rule = summary()
+        assert rule["step_scale"] == [eps, eps]
+        assert rule["leapfrog"] == math.ceil(2.0 / eps)
+        # a given flag replaces only its own value
+        given_eps = summary("--eps", "0.3")
+        assert given_eps["step_scale"] == [0.3, 0.3] and given_eps["leapfrog"] == rule["leapfrog"]
+        given_l = summary("--leapfrog", "7")
+        assert given_l["step_scale"] == [eps, eps] and given_l["leapfrog"] == 7
+
+    @pytest.mark.parametrize("dist, config, true_params", [
+        ("gev", "1,1,1", "10,1,0.7,0.3,0.1,0.1"),
+        ("gpd", "0,0,0", "0,2,0.1"),
+    ])
+    def test_hmc_default_means_agree_with_rw(self, tmp_path, dist, config, true_params):
+        assert main(["simulate", "--dist", dist, "--config", config, "--true-params",
+                     true_params, "--n", "100", "--seed", "12",
+                     "--out", str(tmp_path / "d")]) == EXIT_OK
+
+        def params(sampler, n):
+            out = tmp_path / sampler
+            assert main(["sample", "--input", str(tmp_path / "d" / "simulated.csv"),
+                         "--dist", dist, "--config", config, "--sampler", sampler,
+                         "--num-samples", str(n), "--chains", "4", "--seed", "3",
+                         "--out", str(out)]) == EXIT_OK
+            return json.loads((out / "summary.json").read_text())["params"]
+
+        for h, r in zip(params("hmc", 400), params("rw", 2000)):
+            if h["sd"] == r["sd"] == 0.0:  # a pinned threshold
+                assert h["mean"] == r["mean"]
+                continue
+            mcse = math.hypot(h["sd"] / math.sqrt(h["ess"]), r["sd"] / math.sqrt(r["ess"]))
+            assert abs(h["mean"] - r["mean"]) <= 5.0 * mcse, (h["name"], h["mean"], r["mean"])
+
+    def test_far_out_hmc_path_writes_no_warning(self, tmp_path):
+        # a heavy-tailed (1,1,1) posterior at the default hmc step for k = 6:
+        # leapfrog paths reach points where the kernel overflows
+        res = run_cli(["simulate", "--config", "1,1,1", "--true-params",
+                       "10,1,0.7,0.3,0.4,0.1", "--n", "60", "--seed", "1", "--out", "s"],
+                      tmp_path)
+        assert res.returncode == EXIT_OK, res.stderr
+        res = run_cli(["sample", "--input", "s/simulated.csv", "--config", "1,1,1",
+                       "--sampler", "hmc", "--num-samples", "300", "--seed", "5",
+                       "--eps", "0.51", "--leapfrog", "4", "--out", "h"], tmp_path)
+        assert res.returncode == EXIT_OK and res.stderr == ""
+
     def test_steps_source_names_the_prior_fallback(self, tmp_path):
         # GPD exceedances that are a smooth curve of the covariate: the fit ends
         # at the shape bound with no usable Hessian, so steps come from the priors
@@ -349,7 +491,10 @@ class TestSample:
         assert main(["sample", "--input", str(sim_csv), "--config", "1,0,0",
                      "--sampler", sampler, "--steps", ",".join(f"{v:.17g}" for v in steps),
                      "--num-samples", str(n), "--chains", "2", "--seed", "6",
-                     "--out", str(tmp_path / "s")]) == EXIT_OK
+                     "--out", str(tmp_path / "s"),
+                     # the library's hmc defaults, which the CLI's do not follow
+                     *(["--eps", "0.2", "--leapfrog", "10"] if sampler == "hmc" else [])
+                     ]) == EXIT_OK
         chains = sample_chains(
             sampler, posterior_target(spec, default_priors(spec)), n, default_start(spec),
             1.0 / steps**2 if sampler == "hmc" else steps, [RngState(6, k) for k in range(2)],

@@ -175,6 +175,23 @@ class TestGradLogpdf:
         with pytest.raises(DomainError):
             grad_logpdf(GEV, 3.0, ParamTriple(0, 1, -0.5))
 
+    @pytest.mark.parametrize("family", [GEV, GPD])
+    def test_far_out_point_gives_no_warning(self, family):
+        # xi z = 1e200: the series that the closed forms overwrite and z * z
+        # overflow inside the kernel; the warnings filter turns a warning into
+        # a failure here
+        x, shape = np.array([1e200]), np.array([1.0])
+        h = math.log1p(1e200)
+        lp = logpdf_values(family, x, 0.0, 1.0, shape)
+        assert lp[0] == pytest.approx(-2.0 * h, rel=1e-14)
+        g = np.concatenate(grad_logpdf_values(family, x, 0.0, 1.0, shape))
+        np.testing.assert_allclose(g, [2e-200, 1.0, h - 2.0], rtol=1e-12)
+        assert cdf_values(family, x, 0.0, 1.0, shape)[0] == 1.0
+        # xi z = -1e200 inside the GEV support: exp(-h) overflows, and the
+        # non-finite gradient is left for the model to reject
+        far = grad_logpdf_values(GEV, -x, 0.0, 1.0, -shape)
+        assert not np.isfinite(np.concatenate(far)).all()
+
     def test_matches_central_differences(self):
         rng = RngState(77, 0)
         checked = 0

@@ -22,7 +22,7 @@ from extremefit import (
     return_levels,
     sample,
 )
-from extremefit import model
+from extremefit import model, optimize
 from extremefit.distributions import quantile_values
 from extremefit.optimize import bounds_from_json, bounds_to_json, default_start, load_bounds
 
@@ -271,6 +271,27 @@ def _ramp_spec(family, config, theta, n, seed):
 
 
 class TestNewton:
+    def test_one_kernel_pass_per_iteration(self, monkeypatch):
+        # every full step of a regular fit is taken, and its Hessian batch
+        # carries the nll: no one-row nll beyond the start's
+        calls = {"nll": 0, "batch": 0}
+        real_nll, real_batch = optimize.neg_log_likelihood, optimize.nll_and_grad
+
+        def nll(*args):
+            calls["nll"] += 1
+            return real_nll(*args)
+
+        def batch(*args):
+            calls["batch"] += 1
+            return real_batch(*args)
+
+        monkeypatch.setattr(optimize, "neg_log_likelihood", nll)
+        monkeypatch.setattr(optimize, "nll_and_grad", batch)
+        fit = fit_mle(_gev_spec(n=400, seed=405))
+        assert fit.converged
+        assert calls["nll"] == 1 and calls["batch"] >= 2
+        assert fit.n_evals == calls["batch"] * (2 * 3 + 1)
+
     def test_std_errors_shift_equivariant(self):
         x = _numpy_gev_series()
         fits = [fit_mle(ModelSpec(data=x + shift, covariates=None, config=(0, 0, 0),
