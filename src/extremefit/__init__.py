@@ -65,6 +65,7 @@ from .samplers import (
     mh_random_walk,
     posterior_target,
     sample_chains,
+    sample_posterior,
 )
 
 __version__ = "0.1.0"
@@ -125,6 +126,7 @@ __all__ = [
     "sample",
     "sample_chains",
     "sample_lmoments",
+    "sample_posterior",
     "split_rhat",
     "validate_config",
 ]

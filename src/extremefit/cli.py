@@ -3,15 +3,17 @@
 Subcommands
 -----------
 fit        maximum-likelihood fit; writes result.json
-sample     MCMC sampling (rw | mala | hmc), one trace CSV per chain plus
-           summary.json and optional return_levels.csv. Every sampler runs
-           on u, one entry per free coordinate, where theta = x0 + F u: F
-           is the Cholesky factor of the MLE covariance with each marginal
-           capped at its prior scale (see _resolve_steps), so the chains
-           follow the fit's correlations; traces and summaries are written
-           in theta. hmc defaults to a path of length about 2 in u: step
-           0.8 * k**(-1/4) over the k free coordinates and ceil(2 / step)
-           leapfrog steps, with no adaptation.
+sample     MCMC sampling (rw | mala | hmc) by samplers.sample_posterior,
+           one trace CSV per chain plus summary.json and optional
+           return_levels.csv. Every sampler runs on u, one entry per free
+           coordinate, where theta = x0 + F u: F is the Cholesky factor of
+           the MLE covariance with each marginal capped at its prior scale,
+           so the chains follow the fit's correlations; traces and
+           summaries are written in theta. hmc defaults to a path of length
+           about 2 in u: step 0.8 * k**(-1/4) over the k free coordinates
+           and ceil(2 / step) leapfrog steps, with no adaptation.
+           return_levels.csv is the quantile at the pooled posterior mean
+           theta (a plug-in estimate), not a posterior summary of the level.
 simulate   draw synthetic data from given true parameters; writes a CSV
            that feeds straight back into fit/sample
 lrt        likelihood-ratio test of two nested configurations; lrt.json
@@ -44,34 +46,23 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from .diagnostics import dic, lrt, posterior_summary, return_levels
 from .distributions import EvdFamily, quantile_values
 from .errors import ExtremeFitError
-from .model import ModelSpec, _matvec, param_dim, param_names, realize, validate_config
+from .model import ModelSpec, param_dim, param_names, realize, validate_config
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds, load_bounds
-from .priors import PriorSet, default_priors, load_priors
-from .samplers import Target, posterior_target, sample_chains
+from .priors import default_priors, load_priors
+from .samplers import sample_posterior
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 _CSV_BLOCK = 2048  # rows formatted per call by _write_csv
-# burn-in adapts each mala chain's step multiplier toward the optimal MALA
-# acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
-MALA_TARGET_ACCEPT = 0.574
-# hmc runs in u, where the posterior is close to N(0, I): unless --eps or
-# --leapfrog is given, its step is HMC_STEP_CONST * k**(-1/4) over the k free
-# coordinates (Beskos, Pillai, Roberts, Sanz-Serna & Stuart 2013, Bernoulli
-# 19) and its leapfrog count ceil(HMC_PATH / step), the same for every chain
-HMC_PATH = 2.0
-HMC_STEP_CONST = 0.8
-
 
 class ConfigError(Exception):
     """User-facing configuration problem (exit code 1)."""
@@ -283,70 +274,6 @@ def _resolve_init(init, spec: ModelSpec, bounds: Bounds) -> np.ndarray:
     return x0
 
 
-def _prior_scales(priors: PriorSet) -> np.ndarray:
-    scales = []
-    for comp in priors.components:
-        if comp.kind == "normal":
-            scales.append(comp.b)
-        else:
-            scales.append((comp.b - comp.a) / math.sqrt(12.0))
-    return np.array(scales)
-
-
-def _resolve_steps(steps, spec: ModelSpec, priors: PriorSet, bounds: Bounds,
-                   x0) -> tuple[np.ndarray, str]:
-    """The (d, k) factor F over the k free coordinates and where it came from.
-
-    The samplers move u in R^k, where theta = x0 + F u; F's rows at the
-    coordinates that the bounds pin are 0, so every draw holds them at x0.
-    The source is "steps" for an explicit --steps vector, which gives the
-    free columns of diag(steps). Otherwise a quick maximum-likelihood fit
-    gives its covariance S, and F is the Cholesky factor of D S D over the
-    free coordinates with D = diag(min(1, prior scale / SE)): the fit's
-    correlations, each marginal scale capped at its prior's ("mle"). When
-    the fit fails or its Hessian is unusable F is the diagonal of the prior
-    scales shrunk by 20x ("prior_fallback").
-    """
-    free = ~bounds.pinned
-    if steps is not None:
-        factor, source = np.diag(_check_len(steps, param_dim(spec), "--steps")), "steps"
-    else:
-        prior_scales = np.maximum(_prior_scales(priors), 1e-12)
-        factor, source = np.diag(0.05 * prior_scales), "prior_fallback"
-        try:
-            fit = fit_mle(spec, x0, bounds)
-            if fit.covariance is not None:
-                d = np.minimum(1.0, prior_scales[free] / fit.std_errors[free])
-                factor = np.zeros_like(factor)
-                factor[np.ix_(free, free)] = np.linalg.cholesky(
-                    fit.covariance[np.ix_(free, free)] * d[:, None] * d)
-                source = "mle"
-        except (ExtremeFitError, np.linalg.LinAlgError):
-            pass
-    # boolean column indexing gives F order, which changes the matvecs' last bits
-    return np.ascontiguousarray(factor[:, free]), source
-
-
-def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
-    """target in the coordinates u of theta = x0 + factor u, and the map to theta.
-
-    Rows map by the stacked matvec of ``model._matvec``, so a chain's row is
-    bit-identical alone and in lockstep; gradients map back by factor.T.
-    """
-    factor_t = np.ascontiguousarray(factor.T)
-
-    def to_theta(u):
-        return x0 + _matvec(factor, u)
-
-    def value_and_grad(u):
-        lp, g = target.value_and_grad(to_theta(u))
-        return lp, _matvec(factor_t, g)
-
-    return Target(lambda u: target.log_post(to_theta(u)),
-                  lambda u: _matvec(factor_t, target.grad_log_post(to_theta(u))),
-                  target.temperature, value_and_grad), to_theta
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -379,23 +306,12 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     priors = (_read_sized(args.priors_path, load_priors, "priors", len, spec)
               if args.priors_path else default_priors(spec))
     x0 = _resolve_init(args.init, spec, bounds)
-    factor, steps_source = _resolve_steps(args.steps, spec, priors, bounds, x0)
-    target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
-    dim = factor.shape[1]  # u's length: the free coordinates
-    scale = 1.0 if args.steps is not None else {
-        "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}[args.sampler]
-    # a given flag replaces only its own value: L never follows a user's eps
-    rule_eps = HMC_STEP_CONST * dim ** -0.25
-    eps = rule_eps if args.eps is None else args.eps
-    leapfrog = math.ceil(HMC_PATH / rule_eps) if args.leapfrog is None else args.leapfrog
-    chains = [
-        replace(chain, samples=to_theta(chain.samples)) for chain in sample_chains(
-            args.sampler, target, args.num_samples, np.zeros(dim), scale,
-            [RngState(args.seed, k) for k in range(args.chains)], T=args.temp,
-            burn_in=args.burn_in, thin=args.thin, eps=eps, n_leapfrog=leapfrog,
-            target_accept=MALA_TARGET_ACCEPT if args.sampler == "mala" else None,
-        )
-    ]
+    steps = None if args.steps is None else _check_len(args.steps, param_dim(spec), "--steps")
+    chains, steps_source, leapfrog = sample_posterior(
+        spec, priors, args.sampler, args.num_samples,
+        [RngState(args.seed, k) for k in range(args.chains)], x0=x0, steps=steps,
+        T=args.temp, burn_in=args.burn_in, thin=args.thin, eps=args.eps,
+        n_leapfrog=args.leapfrog)
 
     names = param_names(spec)
     for k, chain in enumerate(chains):
@@ -416,7 +332,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "temperature": args.temp,
         "acceptance_rates": [c.acceptance_rate for c in chains],
         "step_scale": [c.step_scale for c in chains],
-        "leapfrog": leapfrog if args.sampler == "hmc" else None,
+        "leapfrog": leapfrog,
         "steps_source": steps_source,
         "dic": dic_value,
         "params": [

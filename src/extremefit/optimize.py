@@ -99,10 +99,10 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     Location intercept within +-10 sigma of the L-moment location, scale in
     (1e-8 sigma, 100 sigma) (log-scale intercept +-5 around ln sigma when
     covariates enter), shape intercept in [-0.5, 0.5], and every covariate
-    slope within +-10 / std(column). The location and log-scale intercept
-    boxes widen by sum_j |mean_j| * 10 / std_j over their columns, so that
-    every slope in its box has an intercept in the box whatever the
-    covariates' means. GPD data are exceedances of a threshold at 0 (as in
+    slope within +-10 / std(column). Each intercept box widens by
+    sum_j |mean_j| * 10 / std_j over its block's columns, so that every
+    slope in its box has an intercept in the box whatever the covariates'
+    means. GPD data are exceedances of a threshold at 0 (as in
     stationary_estimate), so there the location intercept and slopes are
     pinned at 0.
     """
@@ -111,16 +111,15 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     lo: list[float] = []
     hi: list[float] = []
 
-    def slope_bounds(which: int, intercept: int | None):
+    def slope_bounds(which: int, intercept: int):
         for col in spec.columns_for(which):
             column = spec.covariates[:, col]
             half = 10.0 / max(float(np.std(column)), 1e-6)
             lo.append(-half)
             hi.append(half)
-            if intercept is not None:
-                reach = abs(float(np.mean(column))) * half
-                lo[intercept] -= reach
-                hi[intercept] += reach
+            reach = abs(float(np.mean(column))) * half
+            lo[intercept] -= reach
+            hi[intercept] += reach
 
     lo.append(est.loc - 10.0 * est.scale)
     hi.append(est.loc + 10.0 * est.scale)
@@ -136,7 +135,7 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
         slope_bounds(1, a + 1)
     lo.append(-0.5)
     hi.append(0.5)
-    slope_bounds(2, None)  # the shape intercept box stays [-0.5, 0.5]
+    slope_bounds(2, a + b + 2)
     return Bounds(np.array(lo), np.array(hi))
 
 

@@ -42,10 +42,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InitializationError
-from .model import ModelSpec, grad_neg_log_likelihood, neg_log_likelihood, nll_and_grad
+from .errors import DomainError, ExtremeFitError, InitializationError
+from .model import ModelSpec, _matvec, grad_neg_log_likelihood, neg_log_likelihood, nll_and_grad
 from .numerics import RngState
+from .optimize import Bounds, default_start, fit_mle, infer_bounds
 from .priors import PriorSet, grad_log_prior, log_prior, log_prior_and_grad
+
+# burn-in adapts each mala chain's step multiplier toward the optimal MALA
+# acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
+MALA_TARGET_ACCEPT = 0.574
+# hmc runs in u, where the posterior is close to N(0, I): unless eps or
+# n_leapfrog is given, its step is HMC_STEP_CONST * k**(-1/4) over the k free
+# coordinates (Beskos, Pillai, Roberts, Sanz-Serna & Stuart 2013, Bernoulli
+# 19) and its leapfrog count ceil(HMC_PATH / step), the same for every chain
+HMC_PATH = 2.0
+HMC_STEP_CONST = 0.8
 
 
 @dataclass
@@ -421,3 +432,100 @@ def hmc(target: Target, num_samples: int, initial_params, eps: float,
     mass = np.ones(1) if mass_diag is None else mass_diag
     return sample_chains("hmc", target, num_samples, initial_params, mass,
                          [rng or RngState(0, 0)], T, burn_in, thin, eps, n_leapfrog)[0]
+
+
+def _prior_scales(priors: PriorSet) -> np.ndarray:
+    """Each prior's standard deviation."""
+    return np.array([c.b if c.kind == "normal" else (c.b - c.a) / math.sqrt(12.0)
+                     for c in priors.components])
+
+
+def _resolve_steps(steps, spec: ModelSpec, priors: PriorSet, bounds: Bounds,
+                   x0) -> tuple[np.ndarray, str]:
+    """The (d, k) factor F over the k free coordinates and where it came from.
+
+    The samplers move u in R^k, where theta = x0 + F u; F's rows at the
+    coordinates that the bounds pin are 0, so every draw holds them at x0.
+    The source is "steps" for an explicit steps vector, which gives the
+    free columns of diag(steps). Otherwise a quick maximum-likelihood fit
+    gives its covariance S, and F is the Cholesky factor of D S D over the
+    free coordinates with D = diag(min(1, prior scale / SE)): the fit's
+    correlations, each marginal scale capped at its prior's ("mle"). When
+    the fit fails or its Hessian is unusable F is the diagonal of the prior
+    scales shrunk by 20x ("prior_fallback").
+    """
+    free = ~bounds.pinned
+    if steps is not None:
+        steps = np.asarray(steps, dtype=float)
+        if steps.shape != free.shape or not np.all((steps > 0) & (steps < math.inf)):
+            raise DomainError(f"steps must hold {free.size} finite entries > 0")
+        factor, source = np.diag(steps), "steps"
+    else:
+        prior_scales = np.maximum(_prior_scales(priors), 1e-12)
+        factor, source = np.diag(0.05 * prior_scales), "prior_fallback"
+        try:
+            fit = fit_mle(spec, x0, bounds)
+            if fit.covariance is not None:
+                d = np.minimum(1.0, prior_scales[free] / fit.std_errors[free])
+                factor = np.zeros_like(factor)
+                factor[np.ix_(free, free)] = np.linalg.cholesky(
+                    fit.covariance[np.ix_(free, free)] * d[:, None] * d)
+                source = "mle"
+        except (ExtremeFitError, np.linalg.LinAlgError):
+            pass
+    # boolean column indexing gives F order, which changes the matvecs' last bits
+    return np.ascontiguousarray(factor[:, free]), source
+
+
+def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
+    """target in the coordinates u of theta = x0 + factor u, and the map to theta.
+
+    Rows map by the stacked matvec of ``model._matvec``, so a chain's row is
+    bit-identical alone and in lockstep; gradients map back by factor.T.
+    """
+    factor_t = np.ascontiguousarray(factor.T)
+
+    def to_theta(u):
+        return x0 + _matvec(factor, u)
+
+    def value_and_grad(u):
+        lp, g = target.value_and_grad(to_theta(u))
+        return lp, _matvec(factor_t, g)
+
+    return Target(lambda u: target.log_post(to_theta(u)),
+                  lambda u: _matvec(factor_t, target.grad_log_post(to_theta(u))),
+                  target.temperature, value_and_grad), to_theta
+
+
+def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: int,
+                     rngs: Sequence[RngState], x0=None, steps=None, T: float = 1.0,
+                     burn_in: int | None = None, thin: int = 1, eps: float | None = None,
+                     n_leapfrog: int | None = None) -> tuple[list[Chain], str, int | None]:
+    """Lockstep chains of the posterior, one per RngState, in whitened coordinates.
+
+    Returns (chains in theta, F's source from _resolve_steps, hmc's leapfrog
+    count or None). Chains move u over the k free coordinates of infer_bounds,
+    theta = x0 + F u, where x0 (default_start by default) must equal each pin.
+    In u, rw takes widths 2.4 / sqrt(k), mala steps 0.6 * k**(-1/6) adapted
+    toward MALA_TARGET_ACCEPT, hmc mass 1, step HMC_STEP_CONST * k**(-1/4)
+    and ceil(HMC_PATH / that step) leapfrog steps, a given eps or n_leapfrog
+    replacing only its own value. Steps are rw widths, mala steps or hmc mass**-0.5.
+    """
+    bounds = infer_bounds(spec)
+    x0 = default_start(spec) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != bounds.lo.shape or np.any(bounds.pinned & (x0 != bounds.lo)):
+        raise DomainError(f"x0 must hold {bounds.lo.size} entries, each pinned one at its pin")
+    factor, source = _resolve_steps(steps, spec, priors, bounds, x0)
+    target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
+    dim = factor.shape[1]  # u's length: the free coordinates
+    # an unknown kind gets no scale, and sample_chains names it
+    scale = 1.0 if steps is not None else {
+        "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}.get(kind)
+    rule_eps = HMC_STEP_CONST * dim ** -0.25  # L never follows a given eps
+    eps = rule_eps if eps is None else eps
+    n_leapfrog = math.ceil(HMC_PATH / rule_eps) if n_leapfrog is None else n_leapfrog
+    chains = sample_chains(kind, target, num_samples, np.zeros(dim), scale, rngs, T=T,
+                           burn_in=burn_in, thin=thin, eps=eps, n_leapfrog=n_leapfrog,
+                           target_accept=MALA_TARGET_ACCEPT if kind == "mala" else None)
+    return ([replace(chain, samples=to_theta(chain.samples)) for chain in chains], source,
+            n_leapfrog if kind == "hmc" else None)

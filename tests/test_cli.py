@@ -22,10 +22,8 @@ from extremefit.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    MALA_TARGET_ACCEPT,
     ConfigError,
     _format_float,
-    _prior_scales,
     _read_table,
     _write_csv,
     json_dumps,
@@ -34,6 +32,7 @@ from extremefit.cli import (
 )
 from extremefit.distributions import quantile_values
 from extremefit.optimize import default_start
+from extremefit.samplers import MALA_TARGET_ACCEPT, _prior_scales, sample_posterior
 from _cases import run_cli, run_python
 
 
@@ -508,6 +507,32 @@ class TestSample:
         for k, chain in enumerate(chains):
             trace = np.loadtxt(tmp_path / "s" / f"trace_{k}.csv", delimiter=",", skiprows=1)
             np.testing.assert_allclose(trace, chain.samples, rtol=rtol, atol=1e-3 * rtol)
+
+    @pytest.mark.parametrize("dist,config,init", [("gev", "1,0,0", None),
+                                                  ("gpd", "0,0,0", [0.0, 2.0, 0.1])])
+    @pytest.mark.parametrize("sampler", ["rw", "mala", "hmc"])
+    def test_traces_equal_sample_posterior(self, tmp_path, sim_csv, gpd_csv, dist, config,
+                                           init, sampler):
+        # the command is argument handling and writing around one library call
+        path = sim_csv if dist == "gev" else gpd_csv
+        data, covariates, _ = load_csv(path)
+        spec = ModelSpec(data=data, covariates=covariates,
+                         config=tuple(int(v) for v in config.split(",")),
+                         family=EvdFamily.parse(dist))
+        init_args = [] if init is None else ["--init", ",".join(map(str, init))]
+        assert main(["sample", "--input", str(path), "--dist", dist, "--config", config,
+                     "--sampler", sampler, "--num-samples", "60", "--chains", "3",
+                     "--seed", "8", "--thin", "2", "--out", str(tmp_path / "s"),
+                     *init_args]) == EXIT_OK
+        chains, source, leapfrog = sample_posterior(
+            spec, default_priors(spec), sampler, 60, [RngState(8, k) for k in range(3)],
+            x0=init, thin=2)
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert (summary["steps_source"], summary["leapfrog"]) == (source, leapfrog)
+        assert summary["step_scale"] == [c.step_scale for c in chains]
+        for k, chain in enumerate(chains):
+            trace = np.loadtxt(tmp_path / "s" / f"trace_{k}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(trace, chain.samples)  # 17 digits read back exactly
 
     @pytest.mark.parametrize("sampler", ["rw", "mala"])
     def test_mle_correlations_raise_min_ess(self, tmp_path, sampler):

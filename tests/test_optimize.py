@@ -34,6 +34,20 @@ def _gev_spec(n=2000, seed=404, loc=10.0, scale=5.0, shape=0.1, config=(0, 0, 0)
     return ModelSpec(data=data, covariates=cov, config=config, family=GEV)
 
 
+# known limits of the centring test, both from the differenced Hessian
+_SE_DRIFT = pytest.mark.xfail(strict=True, reason="with a shape slope at |mean|/std = 350 the "
+                              "differenced Hessian moves the slope SEs by up to 1 %")
+_STALL = pytest.mark.xfail(strict=True, reason="at |mean|/std = 3.4e4 the differenced Hessian "
+                           "stalls Newton (max_iter) and moves the slope SEs by 5-53 %")
+CENTRING_CASES = [
+    pytest.param(family, config, lo, 100, id=f"{family.name}-{config}-{lo:g}",
+                 marks=_SE_DRIFT if config == (1, 1, 1) and lo == 100.0 else ())
+    for family in (GEV, EvdFamily.GPD)
+    for config in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1))
+    for lo in (1.0, 5.0, 10.0, 100.0)
+] + [pytest.param(GEV, (0, 1, 0), 1e4, 150, id="GEV-(0, 1, 0)-1e4", marks=_STALL)]
+
+
 class TestInferBounds:
     def test_shape_interval_fixed(self):
         b = infer_bounds(_gev_spec(n=300))
@@ -77,6 +91,39 @@ class TestInferBounds:
         intercept = 0 if config[0] else 1
         assert b.lo[intercept] < fits[0].theta_hat[intercept] < b.hi[intercept]
         assert np.all((b.lo < fits[0].theta_hat) & (fits[0].theta_hat < b.hi))
+
+    @pytest.mark.parametrize("family, config, lo, n", CENTRING_CASES)
+    def test_centring_a_covariate_moves_only_the_intercepts(self, family, config, lo, n):
+        # t in [lo, lo + 1]: |mean| / std is about 3.5 (lo + 0.5), so 350 at lo = 100,
+        # beyond calendar years (1950-2020: 97). Fits are compared where the centred
+        # one converges inside its box: at a bound the two boxes differ by design.
+        t = np.linspace(lo, lo + 1.0, n)
+        a, b, c = config
+        theta = [10.0 if family is GEV else 0.0] + [1.0 if family is GEV else 0.0] * a
+        theta += [0.5, *[0.2] * b] if b else [math.exp(0.5)]
+        theta += [0.1, *[0.3] * c]
+        slopes = [i for i in range(len(theta)) if i not in (0, a + 1, a + b + 2)]
+        compared = 0
+        for seed in range(6):
+            shell = ModelSpec(data=np.zeros(n), covariates=(t - t.mean())[:, None],
+                              config=config, family=family)
+            x = quantile_values(family, RngState(seed, 0).uniforms(n),
+                                *realize(shell, np.array(theta)))
+            fits = []
+            for cov in (t - t.mean(), t):
+                spec = ModelSpec(data=x, covariates=cov[:, None], config=config, family=family)
+                box, fit = infer_bounds(spec), fit_mle(spec)
+                at_bound = ~box.pinned & ((fit.theta_hat <= box.lo) | (fit.theta_hat >= box.hi))
+                fits.append((fit, fit.converged and not at_bound.any()))
+            (fc, centred_ok), (fr, raw_ok) = fits
+            if not centred_ok:
+                continue
+            compared += 1
+            assert raw_ok and fr.nll_min == pytest.approx(fc.nll_min, abs=1e-6)
+            se = fc.std_errors[slopes]
+            assert np.all(np.abs(fr.theta_hat[slopes] - fc.theta_hat[slopes]) <= 1e-4 * se)
+            np.testing.assert_allclose(fr.std_errors[slopes], se, rtol=1e-3)
+        assert compared >= 4
 
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from([GEV, EvdFamily.GPD]), shift=st.floats(-1e6, 1e6),
