@@ -11,7 +11,7 @@ One kernel for both families
 ----------------------------
 With ``z = (x - loc) / scale`` everything is written through
 
-    h(xi, z) = log1p(xi z) / xi = z L(xi z),   L(y) = log1p(y) / y,
+    h(xi, z) = log1p(xi z) / xi,
 
 the cumulative hazard ``-log(1 - F)`` of the GPD and ``-log(-log F)`` of the GEV:
 
@@ -19,12 +19,13 @@ the cumulative hazard ``-log(1 - F)`` of the GPD and ``-log(-log F)`` of the GEV
     GPD  logpdf = -log scale - (1 + xi) h  (z >= 0),   cdf = -expm1(-h)
 
 ``dh/dz = 1 / (1 + xi z)`` and ``dh/dxi = z**2 M(xi z)`` with
-``M(y) = (1 / (1 + y) - L(y)) / y`` give the gradient, and quantiles use the
-inverse ``expm1(xi w) / xi``. For ``|xi z| < 1e-2`` the ratios L, M and
-``expm1(y) / y`` are short Taylor series, so xi = 0 yields the Gumbel and
-exponential limits (Coles 2001, sections 3.1.3 and 4.2.2) and small xi
-loses no accuracy to cancellation (M's closed form loses about
-``5e-16 / |y|`` relative, which sets the switch point).
+``M(y) = (1 / (1 + y) - log1p(y) / y) / y`` give the gradient, and
+quantiles use the inverse ``expm1(xi w) / xi``. ``log1p`` and ``expm1`` are
+accurate to the last bit for small arguments, so h and the quantile take
+the limit z (or w) only where ``xi z`` is 0 or subnormal and has lost its bits:
+xi = 0 yields the Gumbel and exponential limits (Coles 2001, sections 3.1.3
+and 4.2.2). M's closed form cancels, losing about ``5e-16 / |y|``
+relative, so for ``|xi z| < 1e-2`` M is a short Taylor series.
 
 One pass per point
 ------------------
@@ -37,7 +38,6 @@ and its gradient at one point cost one pass, not two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,12 +45,13 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below |y| = _SERIES the Taylor series of L, M and E replace the ratios;
-# each is truncated where the next term is under 1e-16 of the sum there.
+# Below |y| = _SERIES the Taylor series of M(y), the derivative of
+# log1p(y) / y, replaces its closed form; it is truncated where the next term
+# is under 1e-16 of the sum there.
 _SERIES = 1e-2
-_L_COEF = tuple((-1) ** k / (k + 1) for k in range(8))  # L(y) = log1p(y) / y
-_M_COEF = tuple((-1) ** k * k / (k + 1) for k in range(1, 10))  # M(y) = L'(y)
-_E_COEF = tuple(1 / math.factorial(k + 1) for k in range(7))  # E(y) = expm1(y) / y
+_M_COEF = tuple((-1) ** k * k / (k + 1) for k in range(1, 10))
+# below |y| = _TINY, y = xi * t is 0 or subnormal, and f(y) / xi is t
+_TINY = np.finfo(float).tiny
 
 
 class EvdFamily(Enum):
@@ -98,21 +99,13 @@ def _standardize(family: EvdFamily, x, loc, scale, shape):
     return np.where(inside, z, np.nan), inside
 
 
-def _ratio(coefs, factor, numerator, xi, y) -> np.ndarray:
-    """factor * series(y) where |y| < _SERIES, numerator / xi elsewhere (xi != 0 there)."""
-    out = np.full(y.shape, coefs[-1])
-    for c in coefs[-2::-1]:  # Horner
-        out *= y
-        out += c
-    out *= factor
-    np.divide(numerator, xi, out=out, where=np.abs(y) >= _SERIES)
-    return out
-
-
-def _h(xi, z):
-    """h = log1p(xi z) / xi, and y = xi z."""
-    y = xi * z
-    return _ratio(_L_COEF, z, np.log1p(y), xi, y), y
+def _over_xi(f, xi, t):
+    """f(xi t) / xi for f = log1p or expm1, and y = xi t; t where y is 0 or subnormal."""
+    y = xi * t
+    out = np.empty_like(y)
+    np.copyto(out, t)
+    np.divide(f(y), xi, out=out, where=np.abs(y) >= _TINY)
+    return out, y
 
 
 def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
@@ -125,10 +118,10 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
     z, inside = _standardize(family, x, loc, scale, shape)
     logpdf = parts = None
     # far out in a tail exp(-h) and z * z overflow, to an infinite value or a
-    # non-finite gradient that the callers reject, and so does the series
-    # that _ratio computes on every element and then overwrites there
+    # non-finite gradient that the callers reject, and so does M's series,
+    # which is computed on every element and then overwritten there
     with np.errstate(over="ignore"):
-        h, y = _h(shape, z)
+        h, y = _over_xi(np.log1p, shape, z)
         if family is EvdFamily.GEV:
             exp_h = np.exp(-h)
         if value:
@@ -138,7 +131,13 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
             logpdf = np.where(inside, out, -np.inf)
         if grad:
             inv_t = 1.0 / (1.0 + y)  # dh/dz
-            dh_dxi = _ratio(_M_COEF, z * z, z * inv_t - h, shape, y)
+            # dh/dxi: z**2 M(y) by the series, the closed form where |y| >= _SERIES
+            dh_dxi = np.full(y.shape, _M_COEF[-1])
+            for c in _M_COEF[-2::-1]:  # Horner
+                dh_dxi *= y
+                dh_dxi += c
+            dh_dxi *= z * z
+            np.divide(z * inv_t - h, shape, out=dh_dxi, where=np.abs(y) >= _SERIES)
             dlp_dh = -(1.0 + shape)
             if family is EvdFamily.GEV:
                 dlp_dh = dlp_dh + exp_h
@@ -172,8 +171,7 @@ def quantile_values(family: EvdFamily, p_nonexceed, loc, scale, shape) -> np.nda
     loc, scale, shape = (np.asarray(v, dtype=float) for v in (loc, scale, shape))
     # standard Gumbel / exponential quantile, i.e. h at the answer
     w = -np.log(-np.log(p)) if family is EvdFamily.GEV else -np.log1p(-p)
-    y = shape * w
-    return loc + scale * _ratio(_E_COEF, w, np.expm1(y), shape, y)
+    return loc + scale * _over_xi(np.expm1, shape, w)[0]
 
 
 def quantile(family: EvdFamily, p_nonexceed: float, params: ParamTriple) -> float:
@@ -190,7 +188,7 @@ def cdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     x, loc, scale, shape = _arrays(x, loc, scale, shape)
     z, inside = _standardize(family, x, loc, scale, shape)
     with np.errstate(over="ignore"):  # as in _terms
-        h, _ = _h(shape, z)
+        h, _ = _over_xi(np.log1p, shape, z)
         out = np.exp(-np.exp(-h)) if family is EvdFamily.GEV else -np.expm1(-h)
     # outside the support: 1 beyond a finite upper endpoint (xi < 0), else 0
     return np.where(inside, out, (shape < 0) & (x >= loc))

@@ -77,30 +77,31 @@ def default_priors(spec: ModelSpec) -> PriorSet:
 
     The stationary L-moment fit (mu, sigma, xi) anchors the intercepts;
     covariate slopes get Normal(0, 1/std(column)) so that a standardized
-    covariate has a unit-scale slope prior.
+    covariate has a unit-scale slope prior. Each intercept's sd widens by
+    sum_j |mean_j| / std_j over its block's columns, the spread that those
+    slope priors give the parameter's value at covariates of 0, so that a
+    trend on an uncentred covariate is not pinned at 0.
     """
     est = spec.lmoment_estimate
     a, b, c = spec.config
     comps: list[PriorComponent] = []
 
-    def slope_priors(which: int) -> list[PriorComponent]:
-        out = []
+    def with_slopes(which: int, mean: float, sd: float) -> None:
+        slopes = []
         for col in spec.columns_for(which):
-            std = float(np.std(spec.covariates[:, col]))
-            out.append(PriorComponent("normal", 0.0, 1.0 / max(std, 1e-6)))
-        return out
+            column = spec.covariates[:, col]
+            slope_sd = 1.0 / max(float(np.std(column)), 1e-6)
+            slopes.append(PriorComponent("normal", 0.0, slope_sd))
+            sd += abs(float(np.mean(column))) * slope_sd
+        comps.append(PriorComponent("normal", mean, sd))
+        comps.extend(slopes)
 
-    comps.append(
-        PriorComponent("normal", est.loc, 2.0 * est.scale + 0.1 * abs(est.loc) + 1.0)
-    )
-    comps.extend(slope_priors(0))
+    with_slopes(0, est.loc, 2.0 * est.scale + 0.1 * abs(est.loc) + 1.0)
     if b == 0:
         comps.append(PriorComponent("normal", est.scale, est.scale))
     else:
-        comps.append(PriorComponent("normal", math.log(est.scale), 1.0))
-        comps.extend(slope_priors(1))
-    comps.append(PriorComponent("normal", 0.0, 0.25))
-    comps.extend(slope_priors(2))
+        with_slopes(1, math.log(est.scale), 1.0)
+    with_slopes(2, 0.0, 0.25)
     return PriorSet(tuple(comps))
 
 

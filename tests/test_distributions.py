@@ -90,6 +90,36 @@ class TestLogpdf:
                 zero = evaluations(fam, x, u, ParamTriple(mu, sig, 0.0))
                 assert np.max(np.abs(tiny - zero)) < 1e-6
 
+    @pytest.mark.parametrize("family", [GEV, GPD])
+    @pytest.mark.parametrize("xi", [5e-324, -5e-324, 1e-310, -1e-310,
+                                    1e-300, -1e-300, 1e-200, -1e-200])
+    def test_underflowing_shape_is_the_zero_limit(self, family, xi):
+        """Where xi z is 0 or subnormal the kernel returns the xi = 0 values bit for bit.
+
+        There xi z has lost its bits (one significant bit at xi = 5e-324), so
+        log1p(xi z) / xi would be far off; elsewhere it is within rounding.
+        """
+        mu, sig = 1.5, 2.0
+        z = np.array([0.0, 0.3, 1.0, 2.5, 7.0, 30.0, 1e3, 1e5])
+        if family is GEV:
+            z = np.concatenate([[-2.0, -0.5], z])
+        x = mu + sig * z
+        p = np.array([1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12])  # |w| < 30
+
+        def evaluations(shape):
+            at_x = [logpdf_values(family, x, mu, sig, shape), cdf_values(family, x, mu, sig, shape)]
+            at_x += grad_logpdf_values(family, x, mu, sig, shape)
+            return np.array(at_x), quantile_values(family, p, mu, sig, shape)
+
+        (at_x, q), (at_x0, q0) = evaluations(xi), evaluations(0.0)
+        tiny = np.finfo(float).tiny
+        subnormal = np.abs(xi * ((x - mu) / sig)) < tiny
+        assert np.array_equal(at_x[:, subnormal], at_x0[:, subnormal])
+        assert np.max(_scaled_error(at_x, at_x0)) <= 1e-14
+        if abs(xi) * 30.0 < tiny:
+            assert np.array_equal(q, q0)
+        assert np.max(_scaled_error(q, q0)) <= 1e-14
+
     def test_normalization(self):
         rng = RngState(33, 0)
         for fam in (GEV, GPD):

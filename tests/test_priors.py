@@ -20,8 +20,10 @@ from extremefit import (
     default_priors,
     grad_log_prior,
     log_prior,
+    posterior_summary,
     posterior_target,
     sample,
+    sample_posterior,
 )
 from extremefit.optimize import default_start
 from extremefit.priors import load_priors, priors_from_json, priors_to_json
@@ -70,7 +72,26 @@ class TestDefaultPriors:
         logscale = priors.components[1]
         assert logscale.kind == "normal"
         assert logscale.a == pytest.approx(math.log(5.0), abs=0.2)
-        assert logscale.b == 1.0
+        # 1 widened by |mean| / std of the covariate, 0.5 / 0.28925...
+        assert logscale.b == 2.728590163137523
+
+    def test_uncentred_covariate_leaves_the_trend_free(self):
+        # the README's series: the slope's posterior on the raw year (1961-2020)
+        # is the one on the centred year, and both sample without warnings
+        years = np.arange(1961.0, 2021.0)
+        data = sample(EvdFamily.GEV, ParamTriple(10 + 0.02 * (years - 1990), 5.0, 0.1),
+                      RngState(1, 0), size=years.size)
+        slopes = []
+        for cov in (years, years - years.mean()):
+            spec = ModelSpec(data=data, covariates=cov[:, None], config=(1, 0, 0),
+                             family=EvdFamily.GEV)
+            chains, _, _ = sample_posterior(spec, default_priors(spec), "mala", 2000,
+                                            [RngState(1, k) for k in range(4)])
+            rows = posterior_summary(chains, spec)
+            assert max(r.rhat for r in rows) < 1.01, rows
+            slopes.append(rows[1])
+        raw, centred = slopes
+        assert abs(raw.mean - centred.mean) < 0.5 * min(raw.sd, centred.sd), slopes
 
     def test_finite_at_initialization_point(self):
         for config, cov in (((0, 0, 0), None), ((1, 0, 0), "ramp"), ((1, 1, 1), "ramp")):

@@ -76,8 +76,9 @@ class TestSimulationBasedCalibration:
     """Ranks of prior draws among their posterior draws are uniform (Talts et al. 2018).
 
     Each replication draws theta from fixed priors, simulates a stationary
-    GEV series of n = 50 from it, runs sample_posterior's rw (2 chains of 400
-    draws after 200 burn-in, thinned to 200) and ranks theta among the draws.
+    GEV series of n = 50 from it, runs sample_posterior's rw or mala (2 chains
+    of 400 draws after 200 burn-in, thinned to 200) and ranks theta among the
+    draws.
     Two statistics per coordinate: chi-squared over 10 rank bins, and 12 times
     the variance of the normalised ranks, which a too wide or too narrow
     posterior moves away from 1 before the bins notice. The bounds come from
@@ -89,14 +90,14 @@ class TestSimulationBasedCalibration:
                        PriorComponent("normal", 0.1, 0.1)])
     REPS, DRAWS, BINS, LEVEL = 100, 200, 10, 0.01 / 6
 
-    def _p_values(self, temp):
+    def _p_values(self, kind, temp):
         ranks = []
         for rep in range(self.REPS):
             rng = RngState(2018, rep)
             theta = np.array([c.a + c.b * rng.normal() for c in self.PRIORS.components])
             x = quantile_values(EvdFamily.GEV, rng.uniforms(50), *theta)
             spec = ModelSpec(data=x, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
-            chains, _, _ = sample_posterior(spec, self.PRIORS, "rw", 100,
+            chains, _, _ = sample_posterior(spec, self.PRIORS, kind, 100,
                                             [RngState(rep, k) for k in range(2)], T=temp,
                                             burn_in=200, thin=4)
             ranks.append((np.vstack([c.samples for c in chains]) < theta).sum(axis=0))
@@ -115,11 +116,12 @@ class TestSimulationBasedCalibration:
             p.append(math.erfc(abs(var12 - (1.0 + 2.0 / self.DRAWS)) / var_sd / math.sqrt(2.0)))
         return np.array(p)
 
-    def test_rw_ranks_are_uniform(self):
-        p = self._p_values(1.0)
+    @pytest.mark.parametrize("kind", ["rw", "mala"])
+    def test_ranks_are_uniform(self, kind):
+        p = self._p_values(kind, 1.0)
         assert p.min() >= self.LEVEL, p
 
     def test_tempered_target_fails(self):
         # T = 2 doubles the posterior variance: the prior draw sits mid-sample
-        p = self._p_values(2.0)
+        p = self._p_values("rw", 2.0)
         assert p.min() < self.LEVEL, p
