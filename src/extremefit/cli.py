@@ -9,9 +9,12 @@ sample     MCMC sampling (rw | mala | hmc) by samplers.sample_posterior,
            coordinate, where theta = x0 + F u: F is the Cholesky factor of
            the MLE covariance with each marginal capped at its prior scale,
            so the chains follow the fit's correlations; traces and
-           summaries are written in theta. hmc defaults to a path of length
-           about 2 in u: step 0.8 * k**(-1/4) over the k free coordinates
-           and ceil(2 / step) leapfrog steps, with no adaptation.
+           summaries are written in theta. No sampler adapts: over the k
+           free coordinates rw widths are 2.4 sqrt(T / k), mala steps
+           1.5 sqrt(T) k**(-1/6), and hmc takes a path of length about 2
+           in u, step 0.8 sqrt(T) k**(-1/4) and ceil(2 / (0.8 k**(-1/4)))
+           leapfrog steps, T being --temp. --steps, --eps and --leapfrog
+           are used as given.
            return_levels.csv is the quantile at the pooled posterior mean
            theta (a plug-in estimate), not a posterior summary of the level.
 simulate   draw synthetic data from given true parameters; writes a CSV
@@ -509,7 +512,8 @@ def build_parser() -> _Parser:
                           help="keep every THIN-th iteration (>= 1)")
     p_sample.add_argument("--chains", type=count, default=4, help="number of chains (>= 1)")
     p_sample.add_argument("--temp", type=positive, default=1.0,
-                          help="temperature scaling of the posterior (> 0)")
+                          help="temperature scaling of the posterior (> 0); the default "
+                               "steps scale by its square root")
     p_sample.add_argument("--init", default=None, type=_vector,
                           help="comma-separated starting vector")
     p_sample.add_argument("--steps", default=None, type=_positive_vector,

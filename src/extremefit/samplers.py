@@ -28,16 +28,19 @@ Conventions shared by the kernels:
 * the acceptance rate counts post-burn-in proposals only, and proposals
   rejected because a trajectory diverged still count in the denominator;
 * a stored sample always has finite log-posterior;
-* each chain scales its steps by a multiplier, which burn-in may adapt
-  toward a target acceptance (dual averaging, Hoffman & Gelman 2014) and
-  which is then frozen; adaptation draws no random numbers.
+* no kernel adapts: a run keeps its steps from the first iteration to the
+  last, burn-in included.
+
+``sample_posterior`` is the recipe: it runs the kernels in whitened
+coordinates u, where the posterior tempered by T is close to N(0, T I), so
+one fixed scale rule, each default step proportional to sqrt(T), serves
+every model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,15 +51,14 @@ from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds
 from .priors import PriorSet, grad_log_prior, log_prior, log_prior_and_grad
 
-# burn-in adapts each mala chain's step multiplier toward the optimal MALA
-# acceptance (Roberts & Rosenthal 1998, JRSS B 60); hmc and rw keep theirs
-MALA_TARGET_ACCEPT = 0.574
-# hmc runs in u, where the posterior is close to N(0, I): unless eps or
-# n_leapfrog is given, its step is HMC_STEP_CONST * k**(-1/4) over the k free
-# coordinates (Beskos, Pillai, Roberts, Sanz-Serna & Stuart 2013, Bernoulli
-# 19) and its leapfrog count ceil(HMC_PATH / step), the same for every chain
+# sample_posterior's scale rule in u over k free coordinates: mala steps
+# MALA_STEP_CONST * k**(-1/6), just under the optimal 1.65 k**(-1/6) on
+# N(0, I_k) (Roberts & Rosenthal 1998, JRSS B 60); hmc steps HMC_STEP_CONST *
+# k**(-1/4) (Beskos, Pillai, Roberts, Sanz-Serna & Stuart 2013, Bernoulli 19)
+# along a path of length about HMC_PATH. Each default step is then scaled by sqrt(T).
 HMC_PATH = 2.0
 HMC_STEP_CONST = 0.8
+MALA_STEP_CONST = 1.5
 
 
 @dataclass
@@ -89,7 +91,7 @@ class Chain:
     burn_in: int
     thin: int
     temperature: float
-    step_scale: float  # the frozen step multiplier: of the rw widths or mala steps; hmc's eps
+    step_scale: float  # 1 for rw and mala; hmc's eps
 
 
 def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0) -> Target:
@@ -174,13 +176,10 @@ def _finite_part(x: np.ndarray, rows):
     return (kept if isinstance(rows, slice) else rows[kept]), kept
 
 
-# A kernel returns step(z) over the shared (K, d) state for the (K, 1) step
-# multipliers eps. From normals z it proposes and returns (log acceptance
-# ratio per row, (state, proposal) pairs that an accepted row copies). A row
-# to reject has a NaN or -inf ratio.
-def _rw(target, temp, widths, theta, lp, eps):
-    widths = eps * widths
-
+# A kernel returns step(z) over the shared (K, d) state. From normals z it
+# proposes and returns (log acceptance ratio per row, (state, proposal) pairs
+# that an accepted row copies). A row to reject has a NaN or -inf ratio.
+def _rw(target, temp, widths, theta, lp):
     def step(z):
         prop = theta + widths * z
         lp_prop = target.log_post(prop)
@@ -217,33 +216,10 @@ def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
     return step
 
 
-def _dual_averaging(delta: float, eps0: float):
-    """Step-size adaptation toward the acceptance delta (Hoffman & Gelman 2014, JMLR 15, §3.2).
-
-    Returns update(log_alpha, last) -> the next step: the iterate log eps_m
-    during burn-in, the average log eps_bar_m when last. An acceptance ratio of
-    NaN counts as 0. Pure float arithmetic, so a chain adapts alike alone and in
-    lockstep.
-    """
-    mu, gamma, t0, kappa = math.log(10.0 * eps0), 0.05, 10.0, 0.75
-    m, h_bar, log_eps_bar = 0, 0.0, 0.0
-
-    def update(log_alpha: float, last: bool) -> float:
-        nonlocal m, h_bar, log_eps_bar
-        m += 1
-        accept = math.exp(min(log_alpha, 0.0)) if log_alpha == log_alpha else 0.0
-        h_bar = (1.0 - 1.0 / (m + t0)) * h_bar + (delta - accept) / (m + t0)
-        log_eps = mu - math.sqrt(m) / gamma * h_bar
-        w = m ** -kappa
-        log_eps_bar = w * log_eps + (1.0 - w) * log_eps_bar
-        return math.exp(min(log_eps_bar if last else log_eps, 700.0))  # exp overflows past 709.8
-    return update
-
-
 def sample_chains(kind: str, target: Target, num_samples: int, initial_params, scales,
                   rngs: Sequence[RngState], T: float | None = None,
                   burn_in: int | None = None, thin: int = 1, eps: float = 0.2,
-                  n_leapfrog: int = 10, target_accept: float | None = None) -> list[Chain]:
+                  n_leapfrog: int = 10) -> list[Chain]:
     """Run one chain per RngState in rngs, all in lockstep; returns the chains in order.
 
     kind is "rw", "mala" or "hmc"; scales are the rw proposal widths, the mala
@@ -256,11 +232,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     trajectory's end by value_and_grad, made of the other two callables when
     the target has none.
 
-    Each chain scales its steps by a multiplier (``Chain.step_scale``): 1 for
-    rw and mala, eps for hmc. With target_accept, burn-in adapts each chain's
-    multiplier by dual averaging of its own acceptance probabilities toward
-    target_accept, then freezes it at the averaged value; no extra random
-    numbers are drawn.
+    ``Chain.step_scale`` is 1 for rw and mala and eps for hmc; no step adapts.
     """
     temp = float(target.temperature if T is None else T)
     num_samples, thin = int(num_samples), int(thin)
@@ -274,8 +246,6 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
         (num_samples < 1, "num_samples must be >= 1"),
         (thin < 1, "thin must be >= 1"),
         (burn_in < 0, "burn_in must be >= 0"),
-        (target_accept is not None and not 0 < target_accept < 1,
-         "target_accept must be in (0, 1)"),
     ):
         if bad:
             raise DomainError(message)
@@ -299,36 +269,27 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
         g = np.array(g, dtype=float)
         if not np.all(np.isfinite(g)):
             raise InitializationError("gradient is not finite at the initial point")
-    eps0 = float(eps) if kind == "hmc" else 1.0
-    multipliers = np.full((n_chains, 1), eps0)
+    step_scale = float(eps) if kind == "hmc" else 1.0
     if kind == "rw":
-        kernel = partial(_rw, target, temp, scales, theta, lp)
+        step = _rw(target, temp, scales, theta, lp)
     else:  # mala is one-step HMC with mass 1/s**2
         mass, n_steps = (scales, n_leapfrog) if kind == "hmc" else (1.0 / scales**2, 1)
-        kernel = partial(_hmc, target, temp, mass, n_steps, theta, lp, _tempered(g, temp))
-    step = kernel(multipliers)
-    adapters = ([_dual_averaging(target_accept, eps0) for _ in rngs]
-                if target_accept is not None else [])
+        step = _hmc(target, temp, mass, n_steps, theta, lp, _tempered(g, temp), step_scale)
     samples = np.empty((n_chains, num_samples, dim))
     accepted = [0] * n_chains
     for it in range(burn_in + num_samples * thin):
         z = np.array([rng.normals(dim) for rng in rngs])
         log_u = [math.log(rng.uniform()) for rng in rngs]
         log_alpha, moves = step(z)
-        log_alpha = log_alpha.tolist()
-        for k, (lu, la) in enumerate(zip(log_u, log_alpha)):
+        for k, (lu, la) in enumerate(zip(log_u, log_alpha.tolist())):
             if lu < la:
                 for state, proposal in moves:
                     state[k] = proposal[k]
                 accepted[k] += it >= burn_in
-        if it < burn_in and adapters:
-            for k, (update, la) in enumerate(zip(adapters, log_alpha)):
-                multipliers[k, 0] = update(la, it == burn_in - 1)
-            step = kernel(multipliers)
         if it >= burn_in and (it - burn_in) % thin == thin - 1:
             samples[:, (it - burn_in) // thin] = theta
     return [Chain(samples[k], accepted[k] / (num_samples * thin), kind, rng.seed,
-                  rng.stream_id, num_samples, burn_in, thin, temp, float(multipliers[k, 0]))
+                  rng.stream_id, num_samples, burn_in, thin, temp, step_scale)
             for k, rng in enumerate(rngs)]
 
 
@@ -383,10 +344,9 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
     start, _ = _finite_part(gt, np.arange(len(q)))  # a row with no gradient never moves
     diverged = np.ones(len(q), dtype=bool)
     if len(start):
-        eps_rows = np.full((len(start), 1), float(eps))
-        q[start], p[start], rows = _integrate(grad, q[start], p[start], gt[start], 0.5 * eps_rows,
-                                              eps_rows, eps_rows * (1.0 / mass), n_steps, temp,
-                                              finish=True)
+        eps = float(eps)
+        q[start], p[start], rows = _integrate(grad, q[start], p[start], gt[start], 0.5 * eps, eps,
+                                              eps * (1.0 / mass), n_steps, temp, finish=True)
         diverged[start[rows]] = False
     return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
 
@@ -394,9 +354,9 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
 def _integrate(grad, q, p, gt, half, eps, drift, n_steps, temp, finish=False):
     """Leapfrog from (K, d) q and p; returns new (q, p) and the rows still moving.
 
-    gt is the tempered log-posterior gradient at q, finite on every row; half,
-    eps and drift are the (K, 1) half and full steps and the (K, d) position
-    steps eps / mass. A row whose position or gradient turns non-finite stops
+    gt is the tempered log-posterior gradient at q, finite on every row; half
+    and eps are the half and full steps and drift the (d,) position steps
+    eps / mass. A row whose position or gradient turns non-finite stops
     there while the other rows keep integrating. Without finish the last
     gradient and half step of the momenta are left to the caller, which
     evaluates the end point itself.
@@ -411,10 +371,10 @@ def _integrate(grad, q, p, gt, half, eps, drift, n_steps, temp, finish=False):
         rows, kept = _finite_part(g, rows)
         gt = _tempered(g[kept], temp)
         if step == n_steps - 1:
-            p[rows] += half[rows] * gt
+            p[rows] += half * gt
         else:
-            p[rows] += eps[rows] * gt
-            q[rows] += drift[rows] * p[rows]
+            p[rows] += eps * gt
+            q[rows] += drift * p[rows]
             rows, _ = _finite_part(q[rows], rows)
     return q, p, rows
 
@@ -506,10 +466,12 @@ def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: 
     Returns (chains in theta, F's source from _resolve_steps, hmc's leapfrog
     count or None). Chains move u over the k free coordinates of infer_bounds,
     theta = x0 + F u, where x0 (default_start by default) must equal each pin.
-    In u, rw takes widths 2.4 / sqrt(k), mala steps 0.6 * k**(-1/6) adapted
-    toward MALA_TARGET_ACCEPT, hmc mass 1, step HMC_STEP_CONST * k**(-1/4)
-    and ceil(HMC_PATH / that step) leapfrog steps, a given eps or n_leapfrog
-    replacing only its own value. Steps are rw widths, mala steps or hmc mass**-0.5.
+    In u, where the posterior tempered by T is close to N(0, T I), rw takes
+    widths 2.4 sqrt(T / k), mala steps MALA_STEP_CONST sqrt(T) k**(-1/6), and
+    hmc mass 1, step HMC_STEP_CONST sqrt(T) k**(-1/4) and ceil(HMC_PATH /
+    (HMC_STEP_CONST k**(-1/4))) leapfrog steps. Given steps, eps and
+    n_leapfrog are used as given, each replacing only its own value. Steps
+    are rw widths, mala steps or hmc mass**-0.5. No step adapts.
     """
     bounds = infer_bounds(spec)
     x0 = default_start(spec) if x0 is None else np.asarray(x0, dtype=float)
@@ -518,14 +480,15 @@ def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: 
     factor, source = _resolve_steps(steps, spec, priors, bounds, x0)
     target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
     dim = factor.shape[1]  # u's length: the free coordinates
+    root_t = math.sqrt(T) if T > 0 else 1.0  # the scale in u; sample_chains rejects T <= 0
     # an unknown kind gets no scale, and sample_chains names it
     scale = 1.0 if steps is not None else {
-        "rw": 2.4 / math.sqrt(dim), "mala": 0.6 * dim ** (-1.0 / 6.0), "hmc": 1.0}.get(kind)
-    rule_eps = HMC_STEP_CONST * dim ** -0.25  # L never follows a given eps
-    eps = rule_eps if eps is None else eps
+        "rw": 2.4 * root_t / math.sqrt(dim),
+        "mala": MALA_STEP_CONST * root_t * dim ** (-1.0 / 6.0), "hmc": 1.0}.get(kind)
+    rule_eps = HMC_STEP_CONST * dim ** -0.25  # L follows neither T nor a given eps
+    eps = root_t * rule_eps if eps is None else eps
     n_leapfrog = math.ceil(HMC_PATH / rule_eps) if n_leapfrog is None else n_leapfrog
     chains = sample_chains(kind, target, num_samples, np.zeros(dim), scale, rngs, T=T,
-                           burn_in=burn_in, thin=thin, eps=eps, n_leapfrog=n_leapfrog,
-                           target_accept=MALA_TARGET_ACCEPT if kind == "mala" else None)
+                           burn_in=burn_in, thin=thin, eps=eps, n_leapfrog=n_leapfrog)
     return ([replace(chain, samples=to_theta(chain.samples)) for chain in chains], source,
             n_leapfrog if kind == "hmc" else None)

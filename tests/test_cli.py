@@ -32,7 +32,7 @@ from extremefit.cli import (
 )
 from extremefit.distributions import quantile_values
 from extremefit.optimize import default_start
-from extremefit.samplers import MALA_TARGET_ACCEPT, _prior_scales, sample_posterior
+from extremefit.samplers import _prior_scales, sample_posterior
 from _cases import run_cli, run_python
 
 
@@ -390,9 +390,7 @@ class TestSample:
 
         mala = summary("--sampler", "mala")
         assert mala["steps_source"] == "mle"
-        # burn-in adapts each mala chain's multiplier on its own
-        assert len(set(mala["step_scale"])) == 2 and 1.0 not in mala["step_scale"]
-        assert summary("--sampler", "mala", "--burn-in", "0")["step_scale"] == [1.0, 1.0]
+        assert mala["step_scale"] == [1.0, 1.0]  # no step adapts
         hmc = summary("--sampler", "hmc", "--eps", "0.3")
         assert hmc["step_scale"] == [0.3, 0.3]
         rw = summary("--sampler", "rw", "--steps", "0.5,0.01,0.5,0.05")
@@ -486,6 +484,8 @@ class TestSample:
         spec = ModelSpec(data=data, covariates=covariates, config=(1, 0, 0),
                          family=EvdFamily.GEV)
         steps = np.array([float(f"{v:.17g}") for v in fit_mle(spec).std_errors])
+        if sampler == "mala":  # at the SEs mala accepts about 20 %, and a rounding flips a decision
+            steps = 0.5 * steps
         n = 30 if sampler == "hmc" else 200
         assert main(["sample", "--input", str(sim_csv), "--config", "1,0,0",
                      "--sampler", sampler, "--steps", ",".join(f"{v:.17g}" for v in steps),
@@ -496,17 +496,14 @@ class TestSample:
                      ]) == EXIT_OK
         chains = sample_chains(
             sampler, posterior_target(spec, default_priors(spec)), n, default_start(spec),
-            1.0 / steps**2 if sampler == "hmc" else steps, [RngState(6, k) for k in range(2)],
-            target_accept=MALA_TARGET_ACCEPT if sampler == "mala" else None)
+            1.0 / steps**2 if sampler == "hmc" else steps, [RngState(6, k) for k in range(2)])
         summary = json.loads((tmp_path / "s" / "summary.json").read_text())
         assert summary["steps_source"] == "steps"
         assert summary["acceptance_rates"] == [c.acceptance_rate for c in chains]
-        # the two sides differ in the last bits of each step; MALA's drift and its
-        # dual averaging in burn-in carry those differences a few digits further
-        rtol = 1e-6 if sampler == "mala" else 1e-12
+        # the two sides differ in the last bits of each step
         for k, chain in enumerate(chains):
             trace = np.loadtxt(tmp_path / "s" / f"trace_{k}.csv", delimiter=",", skiprows=1)
-            np.testing.assert_allclose(trace, chain.samples, rtol=rtol, atol=1e-3 * rtol)
+            np.testing.assert_allclose(trace, chain.samples, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dist,config,init", [("gev", "1,0,0", None),
                                                   ("gpd", "0,0,0", [0.0, 2.0, 0.1])])

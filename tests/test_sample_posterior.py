@@ -15,10 +15,13 @@ from extremefit import (
     RngState,
     chi2_sf,
     default_priors,
+    realize,
     sample,
     sample_posterior,
 )
 from extremefit.distributions import quantile_values
+from extremefit.optimize import infer_bounds
+from _cases import simulate_from
 
 
 def _gev_spec():
@@ -72,35 +75,122 @@ class TestSamplePosterior:
             sample_posterior(spec, default_priors(spec), "nuts", 10, [RngState(0, 0)])
 
 
+class TestTemperedScales:
+    """The default steps scale by sqrt(T): in u the tempered posterior is close to N(0, T I)."""
+
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_acceptance_holds_across_temperatures(self, kind):
+        # GEV (0,0,0) at n = 100 from (10, 2, 0.1): the model, size and truth of the
+        # sampler input in bench/workloads.py
+        x = quantile_values(EvdFamily.GEV, RngState(7100, 3).uniforms(100), 10.0, 2.0, 0.1)
+        spec = ModelSpec(data=x, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        priors = default_priors(spec)
+
+        def run(temp):
+            chains, _, _ = sample_posterior(spec, priors, kind, 500,
+                                            [RngState(9, k) for k in range(4)], T=temp)
+            return np.mean([c.acceptance_rate for c in chains]), chains[0].step_scale
+
+        (rate, eps), *tempered = (run(temp) for temp in (1.0, 0.5, 4.0))
+        for t_rate, _ in tempered:
+            assert abs(t_rate - rate) <= 0.15, (rate, t_rate)
+        if kind == "hmc":
+            assert tempered[1][1] == 2.0 * eps  # sqrt(4) times, exactly
+
+    def test_given_eps_and_the_leapfrog_count_do_not_follow_t(self):
+        spec = _gev_spec()
+        priors = default_priors(spec)
+
+        def run(temp, **given):
+            chains, _, n_leapfrog = sample_posterior(spec, priors, "hmc", 5, [RngState(3, 0)],
+                                                     T=temp, **given)
+            return chains[0].step_scale, n_leapfrog
+
+        (eps, n_leapfrog), (t_eps, t_leapfrog) = run(1.0), run(4.0)
+        assert t_eps == 2.0 * eps and t_leapfrog == n_leapfrog
+        assert run(4.0, eps=0.3) == (0.3, n_leapfrog)
+
+
+class TestSeededTraces:
+    """sample_posterior's last trace row, pinned bit for bit.
+
+    rw and hmc were pinned before mala's burn-in adaptation was deleted, and
+    did not move; mala is pinned at its fixed step MALA_STEP_CONST k**(-1/6).
+    """
+
+    PINNED = {
+        "rw": [9.98336210728533, 0.6811862710811284, 2.033567504324167, 0.14897859050297219],
+        "mala": [10.031810486111329, 0.5126068989421315, 2.2024881915227685,
+                 0.19182675349395686],
+        "hmc": [10.048271142210464, 0.8067458155902241, 1.8379790477610785,
+                0.06128447380942331],
+    }
+
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_last_row_pinned(self, kind):
+        t = np.linspace(-1.0, 1.0, 80)[:, None]
+        shell = ModelSpec(data=np.zeros(80), covariates=t, config=(1, 0, 0),
+                          family=EvdFamily.GEV)
+        x = simulate_from(shell, np.array([10.0, 1.0, 2.0, 0.1]), 21)
+        spec = ModelSpec(data=x, covariates=t, config=(1, 0, 0), family=EvdFamily.GEV)
+        chains, _, _ = sample_posterior(spec, default_priors(spec), kind,
+                                        15 if kind == "hmc" else 40,
+                                        [RngState(5, k) for k in range(2)])
+        assert chains[-1].samples[-1].tolist() == self.PINNED[kind]
+
+
 class TestSimulationBasedCalibration:
     """Ranks of prior draws among their posterior draws are uniform (Talts et al. 2018).
 
-    Each replication draws theta from fixed priors, simulates a stationary
-    GEV series of n = 50 from it, runs sample_posterior's rw or mala (2 chains
-    of 400 draws after 200 burn-in, thinned to 200) and ranks theta among the
-    draws.
+    Each replication draws theta from fixed priors, simulates a series of
+    n = 50 from it, runs sample_posterior (2 chains of 400 draws after 200
+    burn-in, thinned to 200) and ranks theta among the draws, on each free
+    coordinate. The series is a stationary GEV (rw or mala), or a GPD (0,1,0)
+    on a centred covariate with its threshold held at the pin 0 (rw).
     Two statistics per coordinate: chi-squared over 10 rank bins, and 12 times
     the variance of the normalised ranks, which a too wide or too narrow
     posterior moves away from 1 before the bins notice. The bounds come from
-    the nominal level alone: family-wise 0.01, split over the 6 statistics.
+    the nominal level alone: family-wise 0.01, split over the 6 statistics of
+    the 3 free coordinates.
     """
 
     PRIORS = PriorSet([PriorComponent("normal", 10.0, 1.0),
                        PriorComponent("normal", 2.0, 0.25),
                        PriorComponent("normal", 0.1, 0.1)])
+    # GPD (0,1,0): the threshold (at its pin whatever its prior), the log-scale
+    # intercept and slope, and the shape
+    GPD_PRIORS = PriorSet([PriorComponent("normal", 0.0, 1.0),
+                           PriorComponent("normal", 0.7, 0.2),
+                           PriorComponent("normal", 0.3, 0.2),
+                           PriorComponent("normal", 0.1, 0.1)])
+    GPD_COVARIATE = np.linspace(-1.0, 1.0, 50)[:, None]
     REPS, DRAWS, BINS, LEVEL = 100, 200, 10, 0.01 / 6
 
-    def _p_values(self, kind, temp):
+    def _gev(self, rng):
+        theta = np.array([c.a + c.b * rng.normal() for c in self.PRIORS.components])
+        x = quantile_values(EvdFamily.GEV, rng.uniforms(50), *theta)
+        spec = ModelSpec(data=x, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        return spec, self.PRIORS, theta
+
+    def _gpd(self, rng):
+        theta = np.array([0.0] + [c.a + c.b * rng.normal()
+                                  for c in self.GPD_PRIORS.components[1:]])
+        shell = ModelSpec(data=np.zeros(50), covariates=self.GPD_COVARIATE, config=(0, 1, 0),
+                          family=EvdFamily.GPD)
+        x = quantile_values(EvdFamily.GPD, rng.uniforms(50), *realize(shell, theta))
+        spec = ModelSpec(data=x, covariates=self.GPD_COVARIATE, config=(0, 1, 0),
+                         family=EvdFamily.GPD)
+        return spec, self.GPD_PRIORS, theta
+
+    def _p_values(self, kind, temp, model=None):
         ranks = []
         for rep in range(self.REPS):
-            rng = RngState(2018, rep)
-            theta = np.array([c.a + c.b * rng.normal() for c in self.PRIORS.components])
-            x = quantile_values(EvdFamily.GEV, rng.uniforms(50), *theta)
-            spec = ModelSpec(data=x, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
-            chains, _, _ = sample_posterior(spec, self.PRIORS, kind, 100,
+            spec, priors, theta = (model or self._gev)(RngState(2018, rep))
+            chains, _, _ = sample_posterior(spec, priors, kind, 100,
                                             [RngState(rep, k) for k in range(2)], T=temp,
                                             burn_in=200, thin=4)
-            ranks.append((np.vstack([c.samples for c in chains]) < theta).sum(axis=0))
+            ranks.append((np.vstack([c.samples for c in chains]) < theta).sum(axis=0)
+                         [~infer_bounds(spec).pinned])
         ranks = np.array(ranks)
         # DRAWS + 1 possible ranks in BINS bins of 20 or 21 ranks each
         per_bin = np.bincount(np.arange(self.DRAWS + 1) * self.BINS // (self.DRAWS + 1))
@@ -119,6 +209,10 @@ class TestSimulationBasedCalibration:
     @pytest.mark.parametrize("kind", ["rw", "mala"])
     def test_ranks_are_uniform(self, kind):
         p = self._p_values(kind, 1.0)
+        assert p.min() >= self.LEVEL, p
+
+    def test_ranks_are_uniform_at_a_pinned_threshold(self):
+        p = self._p_values("rw", 1.0, self._gpd)
         assert p.min() >= self.LEVEL, p
 
     def test_tempered_target_fails(self):
