@@ -153,6 +153,16 @@ def param_names(spec: ModelSpec) -> list[str]:
     return names
 
 
+def _slope_scales(spec: ModelSpec, which: int, unit: float) -> list[tuple[float, float]]:
+    """(unit / std, |mean|) per column of spec.columns_for(which), std floored at 1e-6.
+
+    The slope scale that infer_bounds and default_priors give each covariate,
+    and the |mean| by which it widens the intercept's box or prior.
+    """
+    return [(unit / max(float(np.std(column)), 1e-6), abs(float(np.mean(column))))
+            for column in (spec.covariates[:, col] for col in spec.columns_for(which))]
+
+
 def _split(spec: ModelSpec, theta: np.ndarray):
     a, b, c = spec.config
     return theta[..., : a + 1], theta[..., a + 1 : a + b + 2], theta[..., a + b + 2 :]

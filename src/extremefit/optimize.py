@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import EvdFamily
 from .errors import DomainError, FitError
-from .model import ModelSpec, neg_log_likelihood, nll_and_grad, param_dim, realize
+from .model import ModelSpec, _slope_scales, neg_log_likelihood, nll_and_grad, param_dim, realize
 
 _HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
 _EIG_FLOOR = 1e-10    # smallest |eigenvalue| of the scaled Hessian, relative to the largest
@@ -108,34 +108,20 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     """
     est = spec.lmoment_estimate
     a, b, c = spec.config
+    intercepts = ((est.loc - 10.0 * est.scale, est.loc + 10.0 * est.scale),
+                  (1e-8 * est.scale, 100.0 * est.scale) if b == 0
+                  else (math.log(est.scale) - 5.0, math.log(est.scale) + 5.0),
+                  (-0.5, 0.5))
     lo: list[float] = []
     hi: list[float] = []
-
-    def slope_bounds(which: int, intercept: int):
-        for col in spec.columns_for(which):
-            column = spec.covariates[:, col]
-            half = 10.0 / max(float(np.std(column)), 1e-6)
-            lo.append(-half)
-            hi.append(half)
-            reach = abs(float(np.mean(column))) * half
-            lo[intercept] -= reach
-            hi[intercept] += reach
-
-    lo.append(est.loc - 10.0 * est.scale)
-    hi.append(est.loc + 10.0 * est.scale)
-    slope_bounds(0, 0)
+    for which, (low, high) in enumerate(intercepts):
+        slopes = _slope_scales(spec, which, 10.0)
+        for half, mean in slopes:
+            low, high = low - mean * half, high + mean * half
+        lo += [low] + [-half for half, _ in slopes]
+        hi += [high] + [half for half, _ in slopes]
     if spec.family is EvdFamily.GPD:
         lo[: a + 1] = hi[: a + 1] = [0.0] * (a + 1)
-    if b == 0:
-        lo.append(1e-8 * est.scale)
-        hi.append(100.0 * est.scale)
-    else:
-        lo.append(math.log(est.scale) - 5.0)
-        hi.append(math.log(est.scale) + 5.0)
-        slope_bounds(1, a + 1)
-    lo.append(-0.5)
-    hi.append(0.5)
-    slope_bounds(2, a + b + 2)
     return Bounds(np.array(lo), np.array(hi))
 
 

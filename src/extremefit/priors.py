@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelSpec
+from .model import ModelSpec, _slope_scales
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -83,25 +83,16 @@ def default_priors(spec: ModelSpec) -> PriorSet:
     trend on an uncentred covariate is not pinned at 0.
     """
     est = spec.lmoment_estimate
-    a, b, c = spec.config
+    intercepts = ((est.loc, 2.0 * est.scale + 0.1 * abs(est.loc) + 1.0),
+                  (est.scale, est.scale) if spec.config[1] == 0 else (math.log(est.scale), 1.0),
+                  (0.0, 0.25))
     comps: list[PriorComponent] = []
-
-    def with_slopes(which: int, mean: float, sd: float) -> None:
-        slopes = []
-        for col in spec.columns_for(which):
-            column = spec.covariates[:, col]
-            slope_sd = 1.0 / max(float(np.std(column)), 1e-6)
-            slopes.append(PriorComponent("normal", 0.0, slope_sd))
-            sd += abs(float(np.mean(column))) * slope_sd
+    for which, (mean, sd) in enumerate(intercepts):
+        slopes = _slope_scales(spec, which, 1.0)
+        for slope_sd, col_mean in slopes:
+            sd += col_mean * slope_sd
         comps.append(PriorComponent("normal", mean, sd))
-        comps.extend(slopes)
-
-    with_slopes(0, est.loc, 2.0 * est.scale + 0.1 * abs(est.loc) + 1.0)
-    if b == 0:
-        comps.append(PriorComponent("normal", est.scale, est.scale))
-    else:
-        with_slopes(1, math.log(est.scale), 1.0)
-    with_slopes(2, 0.0, 0.25)
+        comps.extend(PriorComponent("normal", 0.0, slope_sd) for slope_sd, _ in slopes)
     return PriorSet(tuple(comps))
 
 

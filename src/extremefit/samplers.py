@@ -5,10 +5,11 @@ size 1 and mass 1/s**2 (Neal 2011, Handbook of MCMC, ch. 5), so one
 integrator serves both.
 
 All three target a tempered posterior: with temperature T the chain
-invariant density is proportional to exp(log_post / T), and the same 1/T
-scaling is applied to gradients so that drift terms and acceptance tests
-describe one consistent target. T > 1 flattens the posterior for tuning,
-T < 1 sharpens it.
+invariant density is proportional to exp(log_post / T). T is applied once,
+when ``sample_chains`` prepares the target: log_post, its gradient and
+value_and_grad are divided by T there (not at all when T = 1), so drift
+terms and acceptance tests describe one consistent target and the kernels
+never see T. T > 1 flattens the posterior, T < 1 sharpens it.
 
 One loop, ``sample_chains``, runs K chains in lockstep as one (K, d) state
 with one target call per step; ``mh_random_walk``, ``mala`` and ``hmc`` are its
@@ -63,7 +64,7 @@ MALA_STEP_CONST = 1.5
 
 @dataclass
 class Target:
-    """Log-posterior (and optional gradient) plus a tuning temperature.
+    """An untempered log-posterior and its optional gradient; a sampler's T tempers it.
 
     value_and_grad, when given, returns (log_post(theta), grad_log_post(theta))
     from one call; the gradient may be NaN where the log-posterior is -inf.
@@ -74,7 +75,6 @@ class Target:
 
     log_post: Callable[[np.ndarray], float]
     grad_log_post: Callable[[np.ndarray], np.ndarray] | None = None
-    temperature: float = 1.0
     value_and_grad: Callable[[np.ndarray], tuple] | None = None
 
 
@@ -94,8 +94,8 @@ class Chain:
     step_scale: float  # 1 for rw and mala; hmc's eps
 
 
-def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0) -> Target:
-    """Bundle -nll + log_prior (and its gradient) for the samplers.
+def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
+    """Bundle -nll + log_prior (and its gradient) for the samplers, untempered.
 
     The callables take theta of shape (d,) or (K, d), a row of a batch
     bit-identical to the (d,) call on it. The gradient is NaN outside the
@@ -123,35 +123,39 @@ def posterior_target(spec: ModelSpec, priors: PriorSet, temperature: float = 1.0
         nll, g_nll = nll_and_grad(spec, theta)
         return lp - nll, g - g_nll
 
-    return Target(log_post, grad, temperature, value_and_grad)
+    return Target(log_post, grad, value_and_grad)
 
 
-def _rowwise(fn):
-    """A (d,) -> value callable lifted to (1, d) -> (1, ...); None stays None."""
-    return fn and (lambda theta: np.asarray(fn(theta[0]), dtype=float)[None])
+def _temperature(T) -> float:
+    if not 0 < float(T) < math.inf:  # NaN fails too
+        raise DomainError(f"temperature must be finite and > 0, got {T}")
+    return float(T)
 
 
-def _rowwise_pair(fn):
-    """_rowwise for a callable that returns a (value, gradient) pair."""
-    return fn and (lambda theta: tuple(np.asarray(v, dtype=float)[None] for v in fn(theta[0])))
+def _prepared(target: Target, T: float, lone: bool) -> Target:
+    """The kernels' (K, d) callables of target tempered by T: they sample exp(log_post / T).
 
-
-def _value_and_grad(log_post, grad):
-    """value_and_grad made of two callables.
-
-    The gradient is taken on the rows whose log_post is above -inf and is NaN
-    on the others.
+    lone lifts (d,) callables to (1, d) states. A missing value_and_grad is made of the
+    other two, the gradient taken on rows whose log_post is above -inf (NaN on the others).
+    At T = 1 nothing is divided, so batched callables pass through as they are.
     """
-
-    def value_and_grad(theta: np.ndarray):
-        lp = log_post(theta)
-        inside = [k for k, v in enumerate(lp.tolist()) if v > -math.inf]
-        return lp, _on_rows(grad, theta, inside, np.nan, theta.shape)
-    return value_and_grad
-
-
-def _tempered(x, temp: float):
-    return x if temp == 1.0 else x / temp  # x / 1.0 is x, bit for bit
+    T = _temperature(T)
+    log_post, grad, pair = target.log_post, target.grad_log_post, target.value_and_grad
+    if lone:  # (d,) callables: each value gains a leading axis of length 1
+        def row(fn):
+            return fn and (lambda theta: np.asarray(fn(theta[0]), dtype=float)[None])
+        log_post, grad = row(log_post), row(grad)
+        pair = pair and (lambda theta: tuple(np.asarray(v, dtype=float)[None]
+                                             for v in target.value_and_grad(theta[0])))
+    if pair is None and grad is not None:
+        def pair(theta: np.ndarray):
+            lp = log_post(theta)
+            inside = [k for k, v in enumerate(lp.tolist()) if v > -math.inf]
+            return lp, _on_rows(grad, theta, inside, np.nan, theta.shape)
+    if T == 1.0:
+        return Target(log_post, grad, pair)
+    return Target(lambda theta: log_post(theta) / T, grad and (lambda theta: grad(theta) / T),
+                  pair and (lambda theta: tuple(v / T for v in pair(theta))))
 
 
 # Rows of a (K, d) state are selected by slice(None) (every row) or an index array.
@@ -179,16 +183,16 @@ def _finite_part(x: np.ndarray, rows):
 # A kernel returns step(z) over the shared (K, d) state. From normals z it
 # proposes and returns (log acceptance ratio per row, (state, proposal) pairs
 # that an accepted row copies). A row to reject has a NaN or -inf ratio.
-def _rw(target, temp, widths, theta, lp):
+def _rw(target, widths, theta, lp):
     def step(z):
         prop = theta + widths * z
         lp_prop = target.log_post(prop)
-        return (lp_prop - lp) / temp, ((theta, prop), (lp, lp_prop))
+        return lp_prop - lp, ((theta, prop), (lp, lp_prop))
     return step
 
 
-def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
-    """HMC with a diagonal mass; gt holds the tempered gradient at theta.
+def _hmc(target, mass, n_leapfrog, theta, lp, g, eps):
+    """HMC with a diagonal mass; g holds the log_post gradient at theta.
 
     With n_leapfrog = 1, eps = 1 and mass 1/s**2 this is MALA with steps s
     (Neal 2011, Handbook of MCMC, ch. 5).
@@ -198,9 +202,8 @@ def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
 
     def step(z):
         p0 = sqrt_mass * z
-        # gt holds each row's gradient from its accepted trajectory's end (or the start)
-        q, p, rows = _integrate(target.grad_log_post, theta, p0, gt, half, eps, drift,
-                                n_leapfrog, temp)
+        # g holds each row's gradient from its accepted trajectory's end (or the start)
+        q, p, rows = _integrate(target.grad_log_post, theta, p0, g, half, eps, drift, n_leapfrog)
         # the end: one value_and_grad call on the rows still moving
         if isinstance(rows, slice) or len(rows) == len(q):
             lp_new, g_new = target.value_and_grad(q)
@@ -208,16 +211,15 @@ def _hmc(target, temp, mass, n_leapfrog, theta, lp, gt, eps):
             lp_new, g_new = np.full(len(q), -math.inf), np.full(q.shape, np.nan)
             if len(rows):
                 lp_new[rows], g_new[rows] = target.value_and_grad(q[rows])
-        gt_new = _tempered(g_new, temp)
-        p += half * gt_new  # NaN on the rows that stopped or left the support: a NaN ratio
-        h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - _tempered(lp, temp)
-        h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - _tempered(lp_new, temp)
-        return h0 - h1, ((theta, q), (lp, lp_new), (gt, gt_new))
+        p += half * g_new  # NaN on the rows that stopped or left the support: a NaN ratio
+        h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - lp
+        h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - lp_new
+        return h0 - h1, ((theta, q), (lp, lp_new), (g, g_new))
     return step
 
 
 def sample_chains(kind: str, target: Target, num_samples: int, initial_params, scales,
-                  rngs: Sequence[RngState], T: float | None = None,
+                  rngs: Sequence[RngState], T: float = 1.0,
                   burn_in: int | None = None, thin: int = 1, eps: float = 0.2,
                   n_leapfrog: int = 10) -> list[Chain]:
     """Run one chain per RngState in rngs, all in lockstep; returns the chains in order.
@@ -230,19 +232,18 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     gradients (NaN rows where undefined), as ``posterior_target``'s do, and
     value_and_grad returns the pair. mala and hmc evaluate the start and each
     trajectory's end by value_and_grad, made of the other two callables when
-    the target has none.
+    the target has none. The chains sample exp(log_post / T); T must be
+    finite and > 0, and is applied once, to the target, before the first step.
 
     ``Chain.step_scale`` is 1 for rw and mala and eps for hmc; no step adapts.
     """
-    temp = float(target.temperature if T is None else T)
     num_samples, thin = int(num_samples), int(thin)
     burn_in = num_samples // 4 if burn_in is None else int(burn_in)
     for bad, message in (
         (kind not in ("rw", "mala", "hmc"), f"unknown sampler {kind!r}; use rw, mala or hmc"),
         (kind != "rw" and target.grad_log_post is None, f"{kind} requires a target gradient"),
-        (kind == "hmc" and not eps > 0, "eps must be > 0"),
+        (kind == "hmc" and not 0 < eps < math.inf, "eps must be finite and > 0"),
         (kind == "hmc" and n_leapfrog < 1, "n_leapfrog must be >= 1"),
-        (temp <= 0, f"temperature must be > 0, got {temp}"),
         (num_samples < 1, "num_samples must be >= 1"),
         (thin < 1, "thin must be >= 1"),
         (burn_in < 0, "burn_in must be >= 0"),
@@ -255,12 +256,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (dim,)).astype(float)
     if np.any(scales <= 0) or not np.all(np.isfinite(scales)):
         raise DomainError("per-coordinate scales must be finite and > 0")
-    if n_chains == 1:
-        target = Target(_rowwise(target.log_post), _rowwise(target.grad_log_post), temp,
-                        _rowwise_pair(target.value_and_grad))
-    if kind != "rw" and target.value_and_grad is None:
-        target = replace(target, value_and_grad=_value_and_grad(target.log_post,
-                                                                target.grad_log_post))
+    target = _prepared(target, T, n_chains == 1)
     lp, g = (target.log_post(theta), None) if kind == "rw" else target.value_and_grad(theta)
     lp = np.array(lp, dtype=float)  # copies: accepted rows write into the state
     if not np.all(np.isfinite(lp)):
@@ -271,10 +267,10 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
             raise InitializationError("gradient is not finite at the initial point")
     step_scale = float(eps) if kind == "hmc" else 1.0
     if kind == "rw":
-        step = _rw(target, temp, scales, theta, lp)
+        step = _rw(target, scales, theta, lp)
     else:  # mala is one-step HMC with mass 1/s**2
         mass, n_steps = (scales, n_leapfrog) if kind == "hmc" else (1.0 / scales**2, 1)
-        step = _hmc(target, temp, mass, n_steps, theta, lp, _tempered(g, temp), step_scale)
+        step = _hmc(target, mass, n_steps, theta, lp, g, step_scale)
     samples = np.empty((n_chains, num_samples, dim))
     accepted = [0] * n_chains
     for it in range(burn_in + num_samples * thin):
@@ -289,12 +285,12 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
         if it >= burn_in and (it - burn_in) % thin == thin - 1:
             samples[:, (it - burn_in) // thin] = theta
     return [Chain(samples[k], accepted[k] / (num_samples * thin), kind, rng.seed,
-                  rng.stream_id, num_samples, burn_in, thin, temp, step_scale)
+                  rng.stream_id, num_samples, burn_in, thin, float(T), step_scale)
             for k, rng in enumerate(rngs)]
 
 
 def mh_random_walk(target: Target, num_samples: int, initial_params, proposal_widths,
-                   T: float | None = None, rng: RngState | None = None,
+                   T: float = 1.0, rng: RngState | None = None,
                    burn_in: int | None = None, thin: int = 1) -> Chain:
     """Random-walk Metropolis with a diagonal Gaussian proposal.
 
@@ -306,7 +302,7 @@ def mh_random_walk(target: Target, num_samples: int, initial_params, proposal_wi
 
 
 def mala(target: Target, num_samples: int, initial_params, step_sizes,
-         T: float | None = None, rng: RngState | None = None,
+         T: float = 1.0, rng: RngState | None = None,
          burn_in: int | None = None, thin: int = 1) -> Chain:
     """Metropolis-adjusted Langevin: gradient-drifted Gaussian proposal.
 
@@ -321,47 +317,45 @@ def mala(target: Target, num_samples: int, initial_params, step_sizes,
                          [rng or RngState(0, 0)], T, burn_in, thin)[0]
 
 
-def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int,
-             mass_diag, T: float | None = None):
+def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int, mass_diag):
     """Leapfrog integration of Hamiltonian dynamics.
 
-    Potential U(theta) = -log_post(theta)/T; kinetic energy uses a diagonal
-    mass matrix. Returns (theta', momentum', diverged); a non-finite gradient
-    or position mid-trajectory sets the divergence flag, which callers treat
-    as an automatic rejection. For (K, d) states (with batched callables, see
-    ``sample_chains``) diverged is a (K,) mask, and a diverging row stops
-    there while the other rows keep integrating.
+    Potential U(theta) = -log_post(theta), untempered; kinetic energy uses a
+    diagonal mass matrix. Returns (theta', momentum', diverged); a non-finite
+    gradient or position mid-trajectory sets the divergence flag, which
+    callers treat as an automatic rejection. For (K, d) states (with batched
+    callables, see ``sample_chains``) diverged is a (K,) mask, and a
+    diverging row stops there while the other rows keep integrating.
     """
     if target.grad_log_post is None:
         raise DomainError("leapfrog requires a target gradient")
-    temp = float(target.temperature if T is None else T)
     q, p = (np.array(v, dtype=float, ndmin=2) for v in (theta, momentum))
     mass = np.broadcast_to(np.asarray(mass_diag, dtype=float), q.shape[-1:])
     if np.any(mass <= 0):
         raise DomainError("mass_diag entries must be > 0")
-    grad = target.grad_log_post if np.ndim(theta) == 2 else _rowwise(target.grad_log_post)
-    gt = _tempered(grad(q), temp)
-    start, _ = _finite_part(gt, np.arange(len(q)))  # a row with no gradient never moves
+    grad = _prepared(target, 1.0, np.ndim(theta) != 2).grad_log_post
+    g = grad(q)
+    start, _ = _finite_part(g, np.arange(len(q)))  # a row with no gradient never moves
     diverged = np.ones(len(q), dtype=bool)
     if len(start):
         eps = float(eps)
-        q[start], p[start], rows = _integrate(grad, q[start], p[start], gt[start], 0.5 * eps, eps,
-                                              eps * (1.0 / mass), n_steps, temp, finish=True)
+        q[start], p[start], rows = _integrate(grad, q[start], p[start], g[start], 0.5 * eps, eps,
+                                              eps * (1.0 / mass), n_steps, finish=True)
         diverged[start[rows]] = False
     return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
 
 
-def _integrate(grad, q, p, gt, half, eps, drift, n_steps, temp, finish=False):
+def _integrate(grad, q, p, g, half, eps, drift, n_steps, finish=False):
     """Leapfrog from (K, d) q and p; returns new (q, p) and the rows still moving.
 
-    gt is the tempered log-posterior gradient at q, finite on every row; half
+    g is the log-posterior gradient at q, finite on every row; half
     and eps are the half and full steps and drift the (d,) position steps
     eps / mass. A row whose position or gradient turns non-finite stops
     there while the other rows keep integrating. Without finish the last
     gradient and half step of the momenta are left to the caller, which
     evaluates the end point itself.
     """
-    p = p + half * gt
+    p = p + half * g
     q = q + drift * p
     rows, _ = _finite_part(q, slice(None))
     for step in range(n_steps if finish else n_steps - 1):
@@ -369,18 +363,17 @@ def _integrate(grad, q, p, gt, half, eps, drift, n_steps, temp, finish=False):
             break
         g = grad(q[rows])
         rows, kept = _finite_part(g, rows)
-        gt = _tempered(g[kept], temp)
         if step == n_steps - 1:
-            p[rows] += half * gt
+            p[rows] += half * g[kept]
         else:
-            p[rows] += eps * gt
+            p[rows] += eps * g[kept]
             q[rows] += drift * p[rows]
             rows, _ = _finite_part(q[rows], rows)
     return q, p, rows
 
 
 def hmc(target: Target, num_samples: int, initial_params, eps: float,
-        n_leapfrog: int, mass_diag=None, T: float | None = None,
+        n_leapfrog: int, mass_diag=None, T: float = 1.0,
         rng: RngState | None = None, burn_in: int | None = None,
         thin: int = 1) -> Chain:
     """Hamiltonian Monte Carlo with a fixed step size and path length.
@@ -454,7 +447,7 @@ def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
 
     return Target(lambda u: target.log_post(to_theta(u)),
                   lambda u: _matvec(factor_t, target.grad_log_post(to_theta(u))),
-                  target.temperature, value_and_grad), to_theta
+                  value_and_grad), to_theta
 
 
 def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: int,
@@ -466,13 +459,14 @@ def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: 
     Returns (chains in theta, F's source from _resolve_steps, hmc's leapfrog
     count or None). Chains move u over the k free coordinates of infer_bounds,
     theta = x0 + F u, where x0 (default_start by default) must equal each pin.
-    In u, where the posterior tempered by T is close to N(0, T I), rw takes
-    widths 2.4 sqrt(T / k), mala steps MALA_STEP_CONST sqrt(T) k**(-1/6), and
-    hmc mass 1, step HMC_STEP_CONST sqrt(T) k**(-1/4) and ceil(HMC_PATH /
-    (HMC_STEP_CONST k**(-1/4))) leapfrog steps. Given steps, eps and
-    n_leapfrog are used as given, each replacing only its own value. Steps
-    are rw widths, mala steps or hmc mass**-0.5. No step adapts.
+    T must be finite and > 0 (checked before the fit); in u, where the posterior
+    tempered by T is close to N(0, T I), rw takes widths 2.4 sqrt(T / k), mala
+    steps MALA_STEP_CONST sqrt(T) k**(-1/6), and hmc mass 1, step HMC_STEP_CONST
+    sqrt(T) k**(-1/4) and ceil(HMC_PATH / (HMC_STEP_CONST k**(-1/4))) leapfrog
+    steps. Given steps, eps and n_leapfrog are used as given, each replacing
+    only its own value. Steps are rw widths, mala steps or hmc mass**-0.5. No step adapts.
     """
+    root_t = math.sqrt(_temperature(T))  # the scale in u; checked before the fit
     bounds = infer_bounds(spec)
     x0 = default_start(spec) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != bounds.lo.shape or np.any(bounds.pinned & (x0 != bounds.lo)):
@@ -480,7 +474,6 @@ def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: 
     factor, source = _resolve_steps(steps, spec, priors, bounds, x0)
     target, to_theta = _whitened(posterior_target(spec, priors), x0, factor)
     dim = factor.shape[1]  # u's length: the free coordinates
-    root_t = math.sqrt(T) if T > 0 else 1.0  # the scale in u; sample_chains rejects T <= 0
     # an unknown kind gets no scale, and sample_chains names it
     scale = 1.0 if steps is not None else {
         "rw": 2.4 * root_t / math.sqrt(dim),

@@ -32,7 +32,7 @@ from extremefit.cli import (
 )
 from extremefit.distributions import quantile_values
 from extremefit.optimize import default_start
-from extremefit.samplers import _prior_scales, sample_posterior
+from extremefit.samplers import MALA_STEP_CONST, _prior_scales, sample_posterior
 from _cases import run_cli, run_python
 
 
@@ -551,7 +551,7 @@ class TestSample:
         # --steps with diagonal widths: each marginal scale, min(SE, prior scale),
         # times the sampler's constant, without the correlations
         marginal = np.minimum(fit.std_errors, _prior_scales(default_priors(spec)))
-        old = marginal * (2.4 / 2.0 if sampler == "rw" else 0.6 * 4.0 ** (-1.0 / 6.0))
+        old = marginal * (2.4 / 2.0 if sampler == "rw" else MALA_STEP_CONST * 4.0 ** (-1.0 / 6.0))
 
         def min_ess(*extra):
             out = tmp_path / f"{sampler}{len(extra)}"

@@ -23,7 +23,9 @@ from extremefit import (
     posterior_target,
     sample,
     sample_chains,
+    sample_posterior,
 )
+from extremefit import samplers
 
 ACC_DLOGPOST_MINUS2_T1 = 0.1353352832366127  # exp(-2)
 ACC_DLOGPOST_MINUS2_T2 = 0.36787944117144233  # exp(-1)
@@ -318,11 +320,53 @@ class TestTemperature:
                     mass_diag=[0.25], T=4.0, rng=RngState(20, 0))
         assert abs(chain.samples[:, 0].var() - 4.0) < 0.3
 
-    def test_target_temperature_field_used_when_t_omitted(self):
-        target = Target(log_post=lambda th: -0.5 * float(th @ th),
-                        grad_log_post=lambda th: -th, temperature=4.0)
-        chain = mh_random_walk(target, 60_000, [0.0], [4.0], rng=RngState(21, 0))
-        assert abs(chain.samples[:, 0].var() - 4.0) < 0.3
+
+class TestBadTemperatureAndStep:
+    """T, and hmc's eps, must be finite and > 0.
+
+    Otherwise a chain that never moves, or a random walk that ignores its
+    target, passes for a sample.
+    """
+
+    @staticmethod
+    def _spec():
+        data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(30, 0), size=40)
+        return ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+
+    @pytest.mark.parametrize("temp", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("call", ["rw", "mala", "hmc", "sample_chains"])
+    def test_kernels_reject_bad_temperature(self, call, temp):
+        t, rng = std_normal_target(), RngState(0, 0)
+        with pytest.raises(DomainError, match="temperature"):
+            if call == "rw":
+                mh_random_walk(t, 10, [0.0], [1.0], T=temp, rng=rng)
+            elif call == "mala":
+                mala(t, 10, [0.0], [1.0], T=temp, rng=rng)
+            elif call == "hmc":
+                hmc(t, 10, [0.0], eps=0.1, n_leapfrog=5, T=temp, rng=rng)
+            else:
+                sample_chains("rw", t, 10, [0.0], [1.0], [rng, RngState(0, 1)], T=temp)
+
+    @pytest.mark.parametrize("temp", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_sample_posterior_rejects_bad_temperature_before_its_fit(self, kind, temp,
+                                                                     monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit_mle ran")
+
+        monkeypatch.setattr(samplers, "fit_mle", no_fit)
+        spec = self._spec()
+        with pytest.raises(DomainError, match="temperature"):
+            sample_posterior(spec, default_priors(spec), kind, 10, [RngState(0, 0)], T=temp)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+    def test_hmc_rejects_bad_eps(self, eps):
+        t = std_normal_target()
+        with pytest.raises(DomainError, match="eps"):
+            hmc(t, 10, [0.0], eps=eps, n_leapfrog=5, rng=RngState(0, 0))
+        with pytest.raises(DomainError, match="eps"):
+            sample_chains("hmc", t, 10, [0.0], [1.0], [RngState(0, 0), RngState(0, 1)],
+                          eps=eps, n_leapfrog=5)
 
 
 class TestPosteriorTarget:
