@@ -47,6 +47,9 @@ from .errors import DomainError
 from .lmoments import stationary_estimate
 
 _BATCH_VALUES = 16384  # most (K, n) values per kernel pass; a longer batch is split
+# (K, n) values that cost a kernel pass about what one row costs at block-maxima n
+# (1.3-1.6x a lone row of posterior_target, measured at n = 30-500)
+_CHEAP_BATCH_VALUES = 1024
 
 
 class RealizedParams(NamedTuple):

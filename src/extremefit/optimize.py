@@ -10,7 +10,10 @@ fit when not supplied, with a projected, damped Newton method (Bertsekas
   |theta_i|, so the Hessian does not depend on where the data sit on the
   number line. A full Newton step is tried with such a batch at its end
   point, so when it is taken the next iteration's gradient and Hessian are
-  already there; shorter steps evaluate the nll alone.
+  already there; shorter steps evaluate the nll alone. Above n =
+  _BATCH_VALUES // 2, where the model runs the batch one row per pass, the
+  full step's end is evaluated alone and the batch's other rows only once
+  the step is taken, so a rejected full step costs one row.
 * The step uses the absolute eigenvalues of the width-scaled Hessian, floored
   away from 0, so it descends even where the nll is not convex.
 * A pinned coordinate (lo == hi, as infer_bounds pins a GPD threshold) is
@@ -37,7 +40,8 @@ import numpy as np
 
 from .distributions import EvdFamily
 from .errors import DomainError, FitError
-from .model import ModelSpec, _slope_scales, neg_log_likelihood, nll_and_grad, param_dim, realize
+from .model import (_BATCH_VALUES, ModelSpec, _slope_scales, neg_log_likelihood, nll_and_grad,
+                    param_dim, realize)
 
 _HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
 _EIG_FLOOR = 1e-10    # smallest |eigenvalue| of the scaled Hessian, relative to the largest
@@ -163,22 +167,28 @@ def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _curvature(spec: ModelSpec, theta: np.ndarray, free: np.ndarray, steps: np.ndarray):
+def _curvature(spec: ModelSpec, theta: np.ndarray, free: np.ndarray, steps: np.ndarray,
+               centre=None):
     """The nll and gradient at theta and the central-difference Hessian of the free coordinates.
 
     The 2k + 1 points go to nll_and_grad as one (K, d) batch, which the
-    model splits for long series. Entries that a point outside the support
-    makes undefined come back NaN.
+    model splits for long series; centre, the (nll, gradient) at theta when
+    already evaluated, leaves the 2k others. Entries that a point outside the
+    support makes undefined come back NaN.
     """
     idx = np.flatnonzero(free)
     k = np.arange(idx.size)
     points = np.repeat(theta[None], 2 * idx.size + 1, axis=0)
     points[1 + k, idx] += steps[idx]
     points[1 + idx.size + k, idx] -= steps[idx]
-    nll, grads = nll_and_grad(spec, points)
+    if centre is None:
+        nll, grads = nll_and_grad(spec, points)
+        centre = float(nll[0]), grads[0]
+    else:
+        grads = np.concatenate([centre[1][None], nll_and_grad(spec, points[1:])[1]])
     span = points[1 + k, idx] - points[1 + idx.size + k, idx]  # the steps as rounded
     jac = (grads[1:1 + idx.size, idx] - grads[1 + idx.size:, idx]) / span[:, None]
-    return float(nll[0]), grads[0], 0.5 * (jac + jac.T)
+    return centre[0], centre[1], 0.5 * (jac + jac.T)
 
 
 def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
@@ -191,6 +201,9 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
     """
     lo, hi = bounds.lo, bounds.hi
     diff_steps, rows = _HESS_STEP * scale, 2 * int(free.sum()) + 1
+    # the model runs a long series one row per pass: there the full step's end is
+    # evaluated alone, and its Hessian's other rows only once the step is taken
+    row_per_pass = spec.n_obs > _BATCH_VALUES // 2
     evals, curv = 0, None
     for it in itertools.count():
         if curv is None:
@@ -221,16 +234,21 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
             cand = np.clip(theta + alpha * step, lo, hi)
             if np.array_equal(cand, theta):
                 break
-            if alpha == 1.0:  # the full step, mostly taken, brings its next curvature along
+            if alpha == 1.0 and not row_per_pass:  # the full step brings its curvature along
                 curv = _curvature(spec, cand, free, diff_steps)
-                f_cand = curv[0]
-                evals += rows
+                f_cand, evals = curv[0], evals + rows
+            elif alpha == 1.0:  # its end alone; the other rows follow if it is taken
+                curv = nll_and_grad(spec, cand)
+                f_cand, evals = curv[0], evals + 1
             else:
                 curv, f_cand = None, neg_log_likelihood(spec, cand)
                 evals += 1
             # false for +inf, and for a step that rounding leaves at f
             if f_cand < f and f_cand <= f + _ARMIJO * float(g @ (cand - theta)):
                 theta, f, moved = cand, f_cand, True
+                if alpha == 1.0 and row_per_pass:
+                    curv = _curvature(spec, cand, free, diff_steps, curv)
+                    evals += rows - 1
                 break
             alpha *= 0.5
         if not moved:

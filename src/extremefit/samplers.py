@@ -11,15 +11,26 @@ value_and_grad are divided by T there (not at all when T = 1), so drift
 terms and acceptance tests describe one consistent target and the kernels
 never see T. T > 1 flattens the posterior, T < 1 sharpens it.
 
-One loop, ``sample_chains``, runs K chains in lockstep as one (K, d) state
-with one target call per step; ``mh_random_walk``, ``mala`` and ``hmc`` are its
-K = 1 calls. Each point is evaluated once: rw calls ``log_post`` once per
-iteration, mala calls ``value_and_grad`` once per iteration, and hmc with L
-leapfrog steps calls ``grad_log_post`` L - 1 times and ``value_and_grad``
-once at the trajectory's end. Chain k draws d normals, then one uniform,
-per iteration from its own RngState, so with a target whose rows do not
-depend on K (``posterior_target``) each chain is bit-identical to that
-chain run alone.
+One loop, ``sample_chains``, runs K chains in lockstep as one batch of rows
+with one target call per round; ``mh_random_walk``, ``mala`` and ``hmc`` are
+its K = 1 calls. Chain k draws d normals, then one uniform, per iteration
+from its own RngState, so with a target whose rows do not depend on the
+batch (``posterior_target``) each chain is bit-identical to that chain run
+alone.
+
+A round prefetches the rejection path (Brockwell 2006, JCGS 15(1)): chain k
+proposes its next m_k moves all from its current state, as if it were to
+reject each of them, and they are scored in the round's one call. The chain
+then walks them in order up to its first acceptance; the proposals after it
+came from the old state and are dropped, their draws kept for the next
+round, so the chain is exactly the sequential one. m_k is floor(1 / a) with
+a = (accepts + 1) / (iterations + 2) over the chain so far, burn-in
+included, capped by the iterations left and by ``Target.batch_rows``. At
+batch_rows = 1 (the default), or while a is above 1/2, it is 1, and each
+point is evaluated once: rw calls ``log_post`` once per iteration, mala
+calls ``value_and_grad`` once per iteration, and hmc with L leapfrog steps
+calls ``grad_log_post`` L - 1 times and ``value_and_grad`` once at the
+trajectory's end.
 
 Conventions shared by the kernels:
 
@@ -47,7 +58,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ExtremeFitError, InitializationError
-from .model import ModelSpec, _matvec, grad_neg_log_likelihood, neg_log_likelihood, nll_and_grad
+from .model import (_CHEAP_BATCH_VALUES, ModelSpec, _matvec, grad_neg_log_likelihood,
+                    neg_log_likelihood, nll_and_grad)
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds
 from .priors import PriorSet, grad_log_prior, log_prior, log_prior_and_grad
@@ -71,11 +83,17 @@ class Target:
     mala and hmc call it at the start and at each trajectory's end, in place of
     the two callables. A target without it gets one made of the two, which
     takes the gradient only where the log-posterior is above -inf.
+
+    batch_rows is how many rows one call evaluates for about the cost of one:
+    the most proposals a chain scores per round (see the module docstring).
+    At 1 a lone chain's callables get (d,) rows and nothing is speculated;
+    above 1 they always get (R, d) batches, as lockstep chains do.
     """
 
     log_post: Callable[[np.ndarray], float]
     grad_log_post: Callable[[np.ndarray], np.ndarray] | None = None
     value_and_grad: Callable[[np.ndarray], tuple] | None = None
+    batch_rows: int = 1
 
 
 @dataclass
@@ -101,7 +119,9 @@ def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
     bit-identical to the (d,) call on it. The gradient is NaN outside the
     support instead of raising, so that integrators can flag divergences.
     value_and_grad equals (log_post, grad_log_post) bit for bit from one
-    pass through the likelihood and one through the prior.
+    pass through the likelihood and one through the prior. batch_rows is
+    max(1, _CHEAP_BATCH_VALUES // n): about that many (K, n) values cost
+    little more than one row, and at n >= _CHEAP_BATCH_VALUES it is 1.
     """
 
     def log_post(theta: np.ndarray):
@@ -123,7 +143,8 @@ def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
         nll, g_nll = nll_and_grad(spec, theta)
         return lp - nll, g - g_nll
 
-    return Target(log_post, grad, value_and_grad)
+    return Target(log_post, grad, value_and_grad,
+                  max(1, _CHEAP_BATCH_VALUES // spec.n_obs))
 
 
 def _temperature(T) -> float:
@@ -180,14 +201,15 @@ def _finite_part(x: np.ndarray, rows):
     return (kept if isinstance(rows, slice) else rows[kept]), kept
 
 
-# A kernel returns step(z) over the shared (K, d) state. From normals z it
-# proposes and returns (log acceptance ratio per row, (state, proposal) pairs
-# that an accepted row copies). A row to reject has a NaN or -inf ratio.
+# A kernel returns step(z, owner) over the shared (K, d) state: row r of the
+# normals z proposes a move of chain owner[r] from its current state. It
+# returns (log acceptance ratio per row, (state, proposal) pairs whose row r
+# an accepting chain copies). A row to reject has a NaN or -inf ratio.
 def _rw(target, widths, theta, lp):
-    def step(z):
-        prop = theta + widths * z
+    def step(z, owner):
+        prop = theta[owner] + widths * z
         lp_prop = target.log_post(prop)
-        return lp_prop - lp, ((theta, prop), (lp, lp_prop))
+        return lp_prop - lp[owner], ((theta, prop), (lp, lp_prop))
     return step
 
 
@@ -200,10 +222,11 @@ def _hmc(target, mass, n_leapfrog, theta, lp, g, eps):
     sqrt_mass, inv_mass = np.sqrt(mass), 1.0 / mass
     half, drift = 0.5 * eps, eps * inv_mass
 
-    def step(z):
+    def step(z, owner):
         p0 = sqrt_mass * z
-        # g holds each row's gradient from its accepted trajectory's end (or the start)
-        q, p, rows = _integrate(target.grad_log_post, theta, p0, g, half, eps, drift, n_leapfrog)
+        # g holds each chain's gradient from its accepted trajectory's end (or the start)
+        q, p, rows = _integrate(target.grad_log_post, theta[owner], p0, g[owner], half, eps,
+                                drift, n_leapfrog)
         # the end: one value_and_grad call on the rows still moving
         if isinstance(rows, slice) or len(rows) == len(q):
             lp_new, g_new = target.value_and_grad(q)
@@ -212,7 +235,7 @@ def _hmc(target, mass, n_leapfrog, theta, lp, g, eps):
             if len(rows):
                 lp_new[rows], g_new[rows] = target.value_and_grad(q[rows])
         p += half * g_new  # NaN on the rows that stopped or left the support: a NaN ratio
-        h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - lp
+        h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - lp[owner]
         h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - lp_new
         return h0 - h1, ((theta, q), (lp, lp_new), (g, g_new))
     return step
@@ -226,9 +249,11 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
 
     kind is "rw", "mala" or "hmc"; scales are the rw proposal widths, the mala
     step sizes or the hmc diagonal mass; eps and n_leapfrog are hmc's step size
-    and path length. initial_params is one (d,) start or a (K, d) array. With
-    K = 1 the target callables get (d,) rows; with K > 1 they get (K, d) states
-    and return (K,) log-posteriors (-inf outside the support) and (K, d)
+    and path length. initial_params is one (d,) start or a (K, d) array. A
+    target with batch_rows = 1 run as one chain gets (d,) rows. Otherwise its
+    callables get (R, d) batches, each chain's speculative proposals of a
+    round (see the module docstring; R = K while every chain proposes one),
+    and return (R,) log-posteriors (-inf outside the support) and (R, d)
     gradients (NaN rows where undefined), as ``posterior_target``'s do, and
     value_and_grad returns the pair. mala and hmc evaluate the start and each
     trajectory's end by value_and_grad, made of the other two callables when
@@ -239,6 +264,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     """
     num_samples, thin = int(num_samples), int(thin)
     burn_in = num_samples // 4 if burn_in is None else int(burn_in)
+    budget = int(target.batch_rows)
     for bad, message in (
         (kind not in ("rw", "mala", "hmc"), f"unknown sampler {kind!r}; use rw, mala or hmc"),
         (kind != "rw" and target.grad_log_post is None, f"{kind} requires a target gradient"),
@@ -247,6 +273,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
         (num_samples < 1, "num_samples must be >= 1"),
         (thin < 1, "thin must be >= 1"),
         (burn_in < 0, "burn_in must be >= 0"),
+        (budget < 1, "the target's batch_rows must be >= 1"),
     ):
         if bad:
             raise DomainError(message)
@@ -256,7 +283,7 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (dim,)).astype(float)
     if np.any(scales <= 0) or not np.all(np.isfinite(scales)):
         raise DomainError("per-coordinate scales must be finite and > 0")
-    target = _prepared(target, T, n_chains == 1)
+    target = _prepared(target, T, n_chains == 1 and budget == 1)
     lp, g = (target.log_post(theta), None) if kind == "rw" else target.value_and_grad(theta)
     lp = np.array(lp, dtype=float)  # copies: accepted rows write into the state
     if not np.all(np.isfinite(lp)):
@@ -271,19 +298,41 @@ def sample_chains(kind: str, target: Target, num_samples: int, initial_params, s
     else:  # mala is one-step HMC with mass 1/s**2
         mass, n_steps = (scales, n_leapfrog) if kind == "hmc" else (1.0 / scales**2, 1)
         step = _hmc(target, mass, n_steps, theta, lp, g, step_scale)
+    total = burn_in + num_samples * thin
     samples = np.empty((n_chains, num_samples, dim))
-    accepted = [0] * n_chains
-    for it in range(burn_in + num_samples * thin):
-        z = np.array([rng.normals(dim) for rng in rngs])
-        log_u = [math.log(rng.uniform()) for rng in rngs]
-        log_alpha, moves = step(z)
-        for k, (lu, la) in enumerate(zip(log_u, log_alpha.tolist())):
-            if lu < la:
-                for state, proposal in moves:
-                    state[k] = proposal[k]
-                accepted[k] += it >= burn_in
-        if it >= burn_in and (it - burn_in) % thin == thin - 1:
-            samples[:, (it - burn_in) // thin] = theta
+    accepted = [0] * n_chains  # after burn-in
+    done, taken = [0] * n_chains, [0] * n_chains  # iterations and acceptances, burn-in included
+    drawn = [[] for _ in rngs]  # each chain's unused (normals, log uniform), in stream order
+    while True:
+        # floor(1 / a) proposals per chain, a = (taken + 1) / (done + 2): its expected
+        # run of rejections, so that most rounds end in an acceptance
+        counts = [min((n + 2) // (hits + 1), total - n, budget) for n, hits in zip(done, taken)]
+        if not any(counts):
+            break
+        for rng, buf, m in zip(rngs, drawn, counts):
+            while len(buf) < m:
+                buf.append((rng.normals(dim), math.log(rng.uniform())))
+        z = np.array([normals for buf, m in zip(drawn, counts) for normals, _ in buf[:m]])
+        owner = (slice(None) if counts.count(1) == n_chains  # a view: one row per chain
+                 else np.repeat(np.arange(n_chains), counts))
+        log_alpha, moves = step(z, owner)
+        log_alpha, row = log_alpha.tolist(), 0
+        for k, m in enumerate(counts):
+            buf, it = drawn[k], done[k]
+            for j in range(m):  # up to the first acceptance: later rows left the old state
+                hit = buf[j][1] < log_alpha[row + j]
+                if hit:
+                    for state, proposal in moves:
+                        state[k] = proposal[row + j]
+                    taken[k] += 1
+                    accepted[k] += it >= burn_in
+                if it >= burn_in and (it - burn_in) % thin == thin - 1:
+                    samples[k, (it - burn_in) // thin] = theta[k]
+                it += 1
+                if hit:
+                    break
+            del buf[:it - done[k]]
+            done[k], row = it, row + m
     return [Chain(samples[k], accepted[k] / (num_samples * thin), kind, rng.seed,
                   rng.stream_id, num_samples, burn_in, thin, float(T), step_scale)
             for k, rng in enumerate(rngs)]
@@ -331,8 +380,8 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int, mass_dia
         raise DomainError("leapfrog requires a target gradient")
     q, p = (np.array(v, dtype=float, ndmin=2) for v in (theta, momentum))
     mass = np.broadcast_to(np.asarray(mass_diag, dtype=float), q.shape[-1:])
-    if np.any(mass <= 0):
-        raise DomainError("mass_diag entries must be > 0")
+    if not np.all((mass > 0) & (mass < math.inf)):  # NaN fails too
+        raise DomainError("mass_diag entries must be finite and > 0")
     grad = _prepared(target, 1.0, np.ndim(theta) != 2).grad_log_post
     g = grad(q)
     start, _ = _finite_part(g, np.arange(len(q)))  # a row with no gradient never moves
@@ -447,7 +496,7 @@ def _whitened(target: Target, x0: np.ndarray, factor: np.ndarray):
 
     return Target(lambda u: target.log_post(to_theta(u)),
                   lambda u: _matvec(factor_t, target.grad_log_post(to_theta(u))),
-                  value_and_grad), to_theta
+                  value_and_grad, target.batch_rows), to_theta
 
 
 def sample_posterior(spec: ModelSpec, priors: PriorSet, kind: str, num_samples: int,

@@ -339,6 +339,20 @@ class TestNewton:
         assert calls["nll"] == 1 and calls["batch"] >= 2
         assert fit.n_evals == calls["batch"] * (2 * 3 + 1)
 
+    def test_long_series_rejected_full_step_costs_one_row(self, monkeypatch):
+        # above n = 8192 the model runs one row per pass, so a full step's end
+        # is evaluated alone; raising the gate sends it with its Hessian batch
+        theta = np.array([10.0, 2.0, 2.0, 0.1])  # the steep trend's first full step overshoots
+        spec = _ramp_spec(GEV, (1, 0, 0), theta, model._BATCH_VALUES // 2 + 1, 900)
+        alone = fit_mle(spec)
+        monkeypatch.setattr(optimize, "_BATCH_VALUES", 10**9)
+        batched = fit_mle(spec)
+        assert alone.converged and batched.converged
+        assert alone.n_evals == batched.n_evals - 2 * 4  # one rejected full step
+        assert np.array_equal(alone.theta_hat, batched.theta_hat)
+        assert alone.nll_min == batched.nll_min
+        assert np.array_equal(alone.std_errors, batched.std_errors)
+
     def test_std_errors_shift_equivariant(self):
         x = _numpy_gev_series()
         fits = [fit_mle(ModelSpec(data=x + shift, covariates=None, config=(0, 0, 0),

@@ -256,6 +256,12 @@ class TestLeapfrog:
         _, _, diverged = leapfrog(target, [0.0], [1.0], 0.1, 5, [1.0])
         assert diverged
 
+    @pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0])
+    def test_mass_must_be_finite_and_positive(self, mass):
+        # an infinite mass would leave q where it was and report no divergence
+        with pytest.raises(DomainError, match="mass_diag"):
+            leapfrog(std_normal_target(), [1.0], [1.0], 0.1, 5, [mass])
+
 
 class TestHmc:
     def test_tiny_step_accepts_everything(self):
@@ -576,6 +582,99 @@ class TestRandomNumbers:
         sample_chains(kind, std_normal_target(), 30, [0.1, -0.2], [0.7, 0.7], [rng],
                       burn_in=10, eps=0.4, n_leapfrog=3)
         assert (len(rng._normals), len(rng._uniforms)) == (0, 0)
+
+
+def batched_normal_target(rows):
+    """Standard normal on (R, d) batches scoring up to 8 rows a call; rows records each R."""
+
+    def log_post(th):
+        rows.append(len(th))
+        return -0.5 * (th * th).sum(axis=-1)
+
+    def value_and_grad(th):
+        rows.append(len(th))
+        return -0.5 * (th * th).sum(axis=-1), -th
+
+    return Target(log_post, lambda th: -th, value_and_grad, batch_rows=8)
+
+
+class TestPrefetch:
+    """A target with batch_rows > 1 scores a chain's next proposals in one call.
+
+    The chain it gives is the sequential one, bit for bit, draw for draw.
+    """
+
+    @pytest.mark.parametrize("temp", [1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_batched_posterior_equals_one_row_calls(self, kind, temp):
+        target, x0 = TestLockstep._posterior()
+        assert target.batch_rows == 1024 // 60
+        one_row = Target(target.log_post, target.grad_log_post, target.value_and_grad)
+        w = np.array([0.5, 0.4, 0.13])
+        runs = []
+        for t in (target, one_row):
+            rng = RngState(9, 2)
+            if kind == "rw":
+                runs.append(mh_random_walk(t, 200, x0, w, T=temp, rng=rng))
+            elif kind == "mala":
+                runs.append(mala(t, 200, x0, 0.5 * w, T=temp, rng=rng))
+            else:
+                runs.append(hmc(t, 30, x0, 0.9, 6, mass_diag=1 / w**2, T=temp, rng=rng))
+            runs[-1] = (runs[-1], rng.normal())  # the stream's next draw
+        (batched, after_b), (single, after_s) = runs
+        assert np.array_equal(batched.samples, single.samples)
+        assert batched.acceptance_rate == single.acceptance_rate
+        assert after_b == after_s
+        if kind == "rw":  # below 1/2 a chain scores more than one proposal per round
+            assert 0.15 < batched.acceptance_rate < 0.45
+
+    @pytest.mark.parametrize("kind", ["rw", "mala", "hmc"])
+    def test_draws_no_extra_random_numbers(self, kind):
+        n_iter, dim = 40, 2
+        rng = ScriptedRng(RngState(5, 0).normals(n_iter * dim),
+                          [RngState(6, 0).uniform() for _ in range(n_iter)])
+        sample_chains(kind, batched_normal_target([]), 30, [0.1, -0.2], [2.5, 2.5], [rng],
+                      burn_in=10, eps=1.5, n_leapfrog=3)
+        assert (len(rng._normals), len(rng._uniforms)) == (0, 0)
+
+    def test_rw_at_low_acceptance_makes_fewer_calls(self):
+        rows = []
+        chain = mh_random_walk(batched_normal_target(rows), 300, [0.0, 0.0], [1.8, 1.8],
+                               rng=RngState(3, 0), burn_in=100)
+        assert 0.25 < chain.acceptance_rate < 0.35
+        calls = len(rows) - 1  # after the start's
+        assert calls < 0.6 * 400
+        assert max(rows) <= 8 and sum(rows) - 1 >= 400
+
+    def test_mala_at_high_acceptance_evaluates_one_row_per_iteration(self):
+        rows = []
+        chain = mala(batched_normal_target(rows), 300, [0.0, 0.0], [0.8, 0.8],
+                     rng=RngState(3, 0), burn_in=100)
+        assert chain.acceptance_rate > 0.9
+        # the first round, with no history, scores two rows; every later call one
+        assert rows[:2] == [1, 2] and set(rows[2:]) == {1}
+        assert len(rows) - 1 == 400
+
+    def test_long_series_speculates_nothing(self):
+        data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(30, 0), size=20_000)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        assert posterior_target(spec, default_priors(spec)).batch_rows == 1
+
+    def test_lockstep_chains_advance_apart(self):
+        rows = []
+        lock = sample_chains("rw", batched_normal_target(rows), 100, [0.0, 0.0], [1.8, 1.8],
+                             [RngState(4, k) for k in range(3)])
+        for k, chain in enumerate(lock):
+            alone = mh_random_walk(batched_normal_target([]), 100, [0.0, 0.0], [1.8, 1.8],
+                                   rng=RngState(4, k))
+            assert np.array_equal(chain.samples, alone.samples)
+            assert chain.acceptance_rate == alone.acceptance_rate
+        assert len(rows) - 1 < 125  # rounds, each chain running one or more iterations
+
+    def test_batch_rows_below_one(self):
+        target = Target(std_normal_target().log_post, batch_rows=0)
+        with pytest.raises(DomainError, match="batch_rows"):
+            mh_random_walk(target, 10, [0.0], [1.0], rng=RngState(0, 0))
 
 
 class TestBurnIn:
