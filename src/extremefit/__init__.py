@@ -46,7 +46,7 @@ from .model import (
     realize,
     validate_config,
 )
-from .numerics import RngState, central_diff_grad, chi2_sf, lgamma, reg_lower_inc_gamma
+from .numerics import RngState, central_diff_grad, chi2_sf, lgamma
 from .optimize import Bounds, FitResult, fit_mle, infer_bounds
 from .priors import (
     PriorComponent,
@@ -121,7 +121,6 @@ __all__ = [
     "posterior_target",
     "quantile",
     "realize",
-    "reg_lower_inc_gamma",
     "return_levels",
     "sample",
     "sample_chains",

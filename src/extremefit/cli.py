@@ -25,9 +25,10 @@ The parsed argparse namespace is the run's configuration: each subparser
 binds its command function, and argparse holds every default. Option values
 are checked when they are parsed: --num-samples, --thin, --chains,
 --leapfrog and --n must be >= 1, --burn-in and --seed >= 0, --temp, --eps
-and every --steps entry finite and > 0, and --return-period finite and > 1,
-so a violation exits 1 before any file is read or written. The --out
-directory is made at a command's first write, after its inputs are checked.
+and every --steps entry finite and > 0, every --init and --true-params entry
+finite, and --return-period finite and > 1, so a violation exits 1 before
+any file is read or written. The --out directory is made at a command's
+first write, after its inputs are checked.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure. Errors
 are emitted as one JSON line on stderr. All floats are serialized with 17
@@ -435,17 +436,20 @@ def _config_triple(text: str) -> tuple[int, int, int]:
 
 
 def _vector(text: str) -> list[float]:
-    """argparse type: a comma-separated float vector."""
+    """argparse type: a comma-separated vector of finite floats."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"could not parse a float vector from {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"entries must be finite, got {text!r}")
+    return values
 
 
 def _positive_vector(text: str) -> list[float]:
     """argparse type: a comma-separated vector of finite values > 0."""
     values = _vector(text)
-    if not all(0.0 < v < math.inf for v in values):
+    if not all(v > 0.0 for v in values):
         raise argparse.ArgumentTypeError(f"entries must be finite and > 0, got {text!r}")
     return values
 

@@ -36,10 +36,13 @@ class PriorComponent:
     def __post_init__(self):
         if self.kind not in ("normal", "uniform"):
             raise DomainError(f"unknown prior kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"prior parameters must be finite, got ({self.a}, {self.b})")
         if self.kind == "normal" and not self.b > 0:
             raise DomainError(f"normal prior requires sd > 0, got {self.b}")
-        if self.kind == "uniform" and not self.a < self.b:
-            raise DomainError(f"uniform prior requires lo < hi, got ({self.a}, {self.b})")
+        if self.kind == "uniform" and not 0 < self.b - self.a < math.inf:
+            raise DomainError(f"uniform prior requires lo < hi and a finite width, "
+                              f"got ({self.a}, {self.b})")
 
 
 @dataclass(frozen=True)

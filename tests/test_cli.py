@@ -729,6 +729,10 @@ class TestArgumentErrors:
         ("fit", "--return-period", "1"),
         ("simulate", "--n", "0"),
         ("sample", "--seed", "-1"),
+        ("fit", "--init", "nan,2,0"),
+        ("fit", "--init", "inf,2,0"),
+        ("sample", "--init", "0,-inf,0"),
+        ("simulate", "--true-params", "nan,2,0"),
     ])
     def test_out_of_range_value_exits_before_any_output(self, tmp_path, capsys, sim_csv,
                                                           command, option, value):
@@ -753,6 +757,8 @@ class TestArgumentErrors:
         ("fit", "--bounds", {"lo": 5, "hi": [1, 1, 1, 1]}),
         ("fit", "--bounds", b"\xff"),
         ("sample", "--priors", [{"kind": "normal", "a": "abc", "b": 1.0}] * 4),
+        ("sample", "--priors", [{"kind": "normal", "a": math.nan, "b": 1.0}] * 4),
+        ("sample", "--priors", [{"kind": "normal", "a": 0.0, "b": math.inf}] * 4),
     ])
     def test_malformed_bounds_or_priors_file(self, tmp_path, capsys, sim_csv,
                                              command, option, content):

@@ -173,6 +173,14 @@ class TestPriorValidation:
         with pytest.raises(DomainError):
             PriorComponent("uniform", 2.0, 1.0)
 
+    @pytest.mark.parametrize("kind, a, b", [
+        ("normal", math.nan, 1.0), ("normal", 0.0, math.inf), ("normal", -math.inf, 1.0),
+        ("uniform", 0.0, math.nan), ("uniform", -math.inf, 0.0), ("uniform", -1e308, 1e308),
+    ])
+    def test_nonfinite_parameters(self, kind, a, b):
+        with pytest.raises(DomainError):
+            PriorComponent(kind, a, b)
+
 
 class TestPriorJson:
     def test_round_trip(self, tmp_path):
