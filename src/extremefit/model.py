@@ -228,14 +228,18 @@ def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _realize(spec: ModelSpec, theta: np.ndarray) -> RealizedParams:
     """realize for a checked theta, without the scale check."""
+    n = spec.n_obs
+
+    def linear(x, v):  # an intercept alone is repeated, not multiplied: 1 * v is exact
+        return np.repeat(v, n, axis=-1) if v.shape[-1] == 1 else _matvec(x, v)
+
     beta, gamma, delta = _split(spec, theta)
     x_loc, x_scale, x_shape = spec._designs
-    if spec.config[1] == 0:
-        scale = np.repeat(gamma, spec.n_obs, axis=-1)
-    else:
+    scale = linear(x_scale, gamma)
+    if spec.config[1]:  # the log-linear scale
         with np.errstate(over="ignore"):
-            scale = np.exp(_matvec(x_scale, gamma))
-    return RealizedParams(_matvec(x_loc, beta), scale, _matvec(x_shape, delta))
+            scale = np.exp(scale)
+    return RealizedParams(linear(x_loc, beta), scale, linear(x_shape, delta))
 
 
 def realize(spec: ModelSpec, theta) -> RealizedParams:
@@ -256,11 +260,14 @@ def _checked_params(spec: ModelSpec, theta: np.ndarray):
 
     The other rows get the placeholder scale 1, so the kernel computes
     nothing undefined on them, and _nll_terms overwrites their results. A
-    non-finite loc or shape needs no check here: the kernel turns it into a
-    non-finite value, which the final finiteness checks catch.
+    stationary scale is its coefficient repeated, finite as theta is, so its
+    K coefficients give the mask, not the K * n values. A non-finite loc or
+    shape needs no check here: the kernel turns it into a non-finite value,
+    which the final finiteness checks catch.
     """
     loc, scale, shape = _realize(spec, theta)
-    ok = ((scale > 0) & (scale < np.inf)).all(axis=-1)
+    a, b, _ = spec.config
+    ok = theta[..., a + 1] > 0 if b == 0 else ((scale > 0) & (scale < np.inf)).all(axis=-1)
     if not ok.all():
         scale[~ok] = 1.0
     return RealizedParams(loc, scale, shape), ok
@@ -300,9 +307,9 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool):
             g_gamma = _matvec(x_scale.T, gsig * scale)
         g = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
                             axis=-1)
-        bad = ~(ok & np.isfinite(g).all(axis=-1))
-        if bad.any():
-            g[bad] = np.nan
+        ok = ok & np.isfinite(g).all(axis=-1)
+        if not ok.all():
+            g[~ok] = np.nan
     return nll, g
 
 

@@ -54,7 +54,8 @@ _NEWTON_ITER = 100
 class Bounds:
     """Elementwise box lo <= hi; +-inf entries leave a side unconstrained.
 
-    A coordinate with lo == hi is pinned: fit_mle holds it at that value.
+    A coordinate with lo == hi is pinned: fit_mle holds it at that value,
+    which must be finite.
     """
 
     lo: np.ndarray
@@ -67,6 +68,8 @@ class Bounds:
             raise DomainError("bounds lo/hi must have equal length")
         if not np.all(self.lo <= self.hi):
             raise DomainError("bounds require lo <= hi elementwise")
+        if np.any(self.pinned & np.isinf(self.lo)):
+            raise DomainError("a pinned coordinate (lo == hi) must be finite")
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))

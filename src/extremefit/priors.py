@@ -8,6 +8,8 @@ point always has finite prior density.
 JSON interchange format (packing order):
     [{"kind": "normal", "a": <mean>, "b": <sd>},
      {"kind": "uniform", "a": <lo>, "b": <hi>}, ...]
+
+where a and b are JSON numbers (true and false are not).
 """
 
 from __future__ import annotations
@@ -57,8 +59,12 @@ class PriorSet:
 
     @cached_property
     def _packed(self):
-        """Normal columns with their means, sds and log-density constants, then
-        uniform columns with their bounds and the sum of their constants."""
+        """Normal columns with their means, sds, variances and log-density constants,
+        then uniform columns with their bounds and the sum of their constants.
+
+        The normal columns are a slice when every component is normal, so that
+        theta is read without a copy and its gradient written without a scatter.
+        """
         a = np.array([c.a for c in self.components])
         b = np.array([c.b for c in self.components])
         const = np.array(
@@ -70,8 +76,9 @@ class PriorSet:
             ]
         )
         is_normal = np.array([c.kind == "normal" for c in self.components], dtype=bool)
-        normal, unif = np.flatnonzero(is_normal), np.flatnonzero(~is_normal)
-        return (normal, a[normal], b[normal], const[normal],
+        unif = np.flatnonzero(~is_normal)
+        normal = np.flatnonzero(is_normal) if unif.size else slice(None)
+        return (normal, a[normal], b[normal], b[normal] ** 2, const[normal],
                 unif, a[unif], b[unif], float(np.sum(const[unif])))
 
 
@@ -115,26 +122,35 @@ def _in_support(x, lo, hi):
 def _prior_terms(priors: PriorSet, theta: np.ndarray, value: bool, grad: bool):
     """log_prior and its gradient at a length-checked theta in one pass; None if not asked.
 
-    Gradient rows where theta is not finite or outside a uniform support are NaN.
+    Gradient rows outside a uniform support are NaN. Rows where theta is not
+    finite are the caller's to mark: see _finite_rows.
     """
-    normal, mean, sd, const, unif, lo, hi, unif_const = priors._packed
+    normal, mean, sd, var, const, unif, lo, hi, unif_const = priors._packed
     diff = theta[..., normal] - mean
-    inside = _in_support(theta[..., unif], lo, hi) if unif.size else True
     out = g = None
+    if unif.size:
+        inside = _in_support(theta[..., unif], lo, hi)
     if value:
-        out = 0.0
-        if normal.size:
-            out += (const - 0.5 * (diff / sd) ** 2).sum(axis=-1)
+        out = (const - 0.5 * (diff / sd) ** 2).sum(axis=-1)
         if unif.size:
             out = np.where(inside, out + unif_const, -math.inf)
         out = float(out) if theta.ndim == 1 else out
     if grad:
-        g = np.zeros_like(theta)
-        g[..., normal] = -diff / sd**2
-        ok = np.isfinite(theta).all(axis=-1) & inside
-        if not ok.all():
-            g[~ok] = np.nan
+        g = -diff / var
+        if unif.size:  # the normal columns' gradient, 0 on the uniform ones
+            g, g_normal = np.zeros_like(theta), g
+            g[..., normal] = g_normal
+            if not inside.all():
+                g[~inside] = np.nan
     return out, g
+
+
+def _finite_rows(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g with a NaN row wherever theta's row is not finite."""
+    bad = ~np.isfinite(theta).all(axis=-1)
+    if bad.any():
+        g[bad] = np.nan
+    return g
 
 
 def log_prior(priors: PriorSet, theta):
@@ -152,8 +168,9 @@ def grad_log_prior(priors: PriorSet, theta) -> np.ndarray:
     A (d,) theta that is not raises DomainError; a (K, d) theta gets NaN
     rows there.
     """
-    g = _prior_terms(priors, _check_len(priors, theta), value=False, grad=True)[1]
-    if g.ndim == 1 and np.isnan(g).all():  # _prior_terms's NaN row
+    theta = _check_len(priors, theta)
+    g = _finite_rows(theta, _prior_terms(priors, theta, value=False, grad=True)[1])
+    if g.ndim == 1 and np.isnan(g).all():  # a NaN row
         raise DomainError("log prior is -inf at theta; gradient undefined")
     return g
 
@@ -165,7 +182,9 @@ def log_prior_and_grad(priors: PriorSet, theta):
     NaN row, not a DomainError, where grad_log_prior's is undefined, for a
     (d,) theta as for a (K, d) one.
     """
-    return _prior_terms(priors, _check_len(priors, theta), value=True, grad=True)
+    theta = _check_len(priors, theta)
+    lp, g = _prior_terms(priors, theta, value=True, grad=True)
+    return lp, _finite_rows(theta, g)
 
 
 def priors_to_json(priors: PriorSet) -> list[dict]:
@@ -175,13 +194,19 @@ def priors_to_json(priors: PriorSet) -> list[dict]:
 def priors_from_json(obj) -> PriorSet:
     if not isinstance(obj, list):
         raise DomainError("prior file must hold a JSON array of components")
+
+    def number(value) -> float:  # a JSON number: not a bool, not a string
+        if type(value) not in (int, float):
+            raise TypeError(f"{value!r} is not a number")
+        return float(value)
+
     comps = []
     for i, entry in enumerate(obj):
         try:
             comps.append(
-                PriorComponent(str(entry["kind"]), float(entry["a"]), float(entry["b"]))
+                PriorComponent(str(entry["kind"]), number(entry["a"]), number(entry["b"]))
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise DomainError(f"malformed prior component at index {i}: {exc}")
     return PriorSet(tuple(comps))
 

@@ -58,11 +58,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ExtremeFitError, InitializationError
-from .model import (_CHEAP_BATCH_VALUES, ModelSpec, _matvec, grad_neg_log_likelihood,
-                    neg_log_likelihood, nll_and_grad)
+from .model import _CHEAP_BATCH_VALUES, ModelSpec, _matvec, _nll_terms, _scalar, param_dim
 from .numerics import RngState
 from .optimize import Bounds, default_start, fit_mle, infer_bounds
-from .priors import PriorSet, grad_log_prior, log_prior, log_prior_and_grad
+from .priors import PriorSet, _prior_terms
 
 # sample_posterior's scale rule in u over k free coordinates: mala steps
 # MALA_STEP_CONST * k**(-1/6), just under the optimal 1.65 k**(-1/6) on
@@ -116,34 +115,43 @@ def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
     """Bundle -nll + log_prior (and its gradient) for the samplers, untempered.
 
     The callables take theta of shape (d,) or (K, d), a row of a batch
-    bit-identical to the (d,) call on it. The gradient is NaN outside the
-    support instead of raising, so that integrators can flag divergences.
-    value_and_grad equals (log_post, grad_log_post) bit for bit from one
-    pass through the likelihood and one through the prior. batch_rows is
+    bit-identical to the (d,) call on it. Each call is one pass: theta is
+    checked once, then the prior and the likelihood are evaluated once each,
+    so the value is log_prior - neg_log_likelihood and the gradient
+    grad_log_prior - grad_neg_log_likelihood bit for bit, and value_and_grad
+    equals (log_post, grad_log_post). The gradient is a NaN row where either
+    gradient is undefined (outside the support, or a uniform prior's), instead
+    of raising, so that integrators can flag divergences. A non-finite theta
+    entry makes log_post and value_and_grad raise DomainError, in either form;
+    grad_log_post gives that row NaN. batch_rows is
     max(1, _CHEAP_BATCH_VALUES // n): about that many (K, n) values cost
     little more than one row, and at n >= _CHEAP_BATCH_VALUES it is 1.
     """
+    dim = param_dim(spec)
+    if len(priors) != dim:
+        raise DomainError(f"{len(priors)} priors for {dim} parameters")
 
-    def log_post(theta: np.ndarray):
-        lp = log_prior(priors, theta)
-        if np.ndim(lp) == 0 and lp == -math.inf:  # a lone point skips the likelihood
-            return -math.inf
-        return lp - neg_log_likelihood(spec, theta)  # the nll is finite or +inf
+    def terms(theta, value: bool, grad: bool):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != dim:
+            raise DomainError(f"theta must have length {dim}, got shape {theta.shape}")
+        if not np.isfinite(theta).all():
+            if value:
+                raise DomainError("theta entries must be finite")
+            g = np.full(theta.shape, np.nan)
+            finite = np.isfinite(theta).all(axis=-1)
+            if finite.any():  # only a (K, d) theta has finite rows here
+                g[finite] = terms(theta[finite], False, True)[1]
+            return None, g
+        lp, g = _prior_terms(priors, theta, value, grad)
+        if theta.ndim == 1 and lp == -math.inf:  # a lone point skips the likelihood
+            return lp, np.full(dim, np.nan)
+        nll, g_nll = _nll_terms(spec, theta, value, grad)
+        return (lp - _scalar(nll) if value else None), (g - g_nll if grad else None)
 
-    def grad(theta: np.ndarray) -> np.ndarray:
-        try:
-            return grad_log_prior(priors, theta) - grad_neg_log_likelihood(spec, theta)
-        except DomainError:
-            return np.full(np.shape(theta), np.nan)
-
-    def value_and_grad(theta: np.ndarray):
-        lp, g = log_prior_and_grad(priors, theta)
-        if np.ndim(lp) == 0 and lp == -math.inf:  # as in log_post
-            return -math.inf, np.full(np.shape(theta), np.nan)
-        nll, g_nll = nll_and_grad(spec, theta)
-        return lp - nll, g - g_nll
-
-    return Target(log_post, grad, value_and_grad,
+    return Target(lambda theta: terms(theta, True, False)[0],
+                  lambda theta: terms(theta, False, True)[1],
+                  lambda theta: terms(theta, True, True),
                   max(1, _CHEAP_BATCH_VALUES // spec.n_obs))
 
 

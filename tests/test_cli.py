@@ -759,6 +759,8 @@ class TestArgumentErrors:
         ("sample", "--priors", [{"kind": "normal", "a": "abc", "b": 1.0}] * 4),
         ("sample", "--priors", [{"kind": "normal", "a": math.nan, "b": 1.0}] * 4),
         ("sample", "--priors", [{"kind": "normal", "a": 0.0, "b": math.inf}] * 4),
+        ("sample", "--priors", [{"kind": "normal", "a": True, "b": True}] * 4),
+        ("fit", "--bounds", {"lo": [0, 0, 0, math.inf], "hi": [1, 1, 1, math.inf]}),
     ])
     def test_malformed_bounds_or_priors_file(self, tmp_path, capsys, sim_csv,
                                              command, option, content):

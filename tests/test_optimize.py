@@ -289,6 +289,13 @@ class TestBoundsJson:
         with pytest.raises(DomainError):
             bounds_from_json(obj)
 
+    @pytest.mark.parametrize("pin", [math.inf, -math.inf])
+    def test_a_pin_must_be_finite(self, pin):
+        with pytest.raises(DomainError, match="pinned"):
+            Bounds([0.0, pin], [1.0, pin])
+        with pytest.raises(DomainError, match="pinned"):
+            bounds_from_json({"lo": [0.0, pin], "hi": [1.0, pin]})
+
 
 def _numpy_gev_series(n=100, seed=5):
     """GEV(10, 2, 0.1) block maxima by inverse CDF from numpy's default_rng(seed)."""

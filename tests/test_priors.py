@@ -201,7 +201,7 @@ class TestPriorJson:
         with pytest.raises(DomainError):
             priors_from_json({"kind": "normal"})
 
-    @pytest.mark.parametrize("a", ["abc", 10**400])
+    @pytest.mark.parametrize("a", ["abc", 10**400, "1.5", None, True])
     def test_entry_that_is_not_a_float(self, a):
         with pytest.raises(DomainError, match="index 1"):
             priors_from_json([{"kind": "normal", "a": 0.0, "b": 1.0},

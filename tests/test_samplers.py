@@ -11,21 +11,28 @@ from extremefit import (
     InitializationError,
     ModelSpec,
     ParamTriple,
+    PriorComponent,
+    PriorSet,
     RngState,
     Target,
     central_diff_grad,
     default_priors,
     ess,
+    grad_log_prior,
+    grad_neg_log_likelihood,
     hmc,
     leapfrog,
+    log_prior,
     mala,
     mh_random_walk,
+    neg_log_likelihood,
     posterior_target,
     sample,
     sample_chains,
     sample_posterior,
 )
-from extremefit import samplers
+from extremefit import model, samplers
+from _cases import ROW_KINDS, batch_rows, random_model_case
 
 ACC_DLOGPOST_MINUS2_T1 = 0.1353352832366127  # exp(-2)
 ACC_DLOGPOST_MINUS2_T2 = 0.36787944117144233  # exp(-1)
@@ -395,6 +402,81 @@ class TestPosteriorTarget:
         bad = np.array([0.0, 1.0, -0.6])  # upper endpoint below the data
         assert target.log_post(bad) == -math.inf
         assert np.all(np.isnan(target.grad_log_post(bad)))
+
+    @staticmethod
+    def _composition(spec, priors, theta):
+        """The public functions' log_prior - nll and its gradient, a NaN row where undefined."""
+        def or_nan(grad, obj):
+            try:
+                return grad(obj, theta)
+            except DomainError:  # only a (d,) theta raises
+                return np.full(theta.shape, np.nan)
+        return (log_prior(priors, theta) - neg_log_likelihood(spec, theta),
+                or_nan(grad_log_prior, priors) - or_nan(grad_neg_log_likelihood, spec))
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_one_pass_equals_the_public_composition(self, index):
+        spec, theta = random_model_case(index)
+        rows = batch_rows(spec, theta, ("inside",) + ROW_KINDS, index)
+        normal = default_priors(spec)
+        comps = list(normal.components)
+        a, b, _ = spec.config
+        comps[a + b + 2] = PriorComponent("uniform", -0.45, 0.45)  # "outside" rows leave it
+        for priors in (normal, PriorSet(tuple(comps))):
+            target = posterior_target(spec, priors)
+            for x in (rows, *rows):
+                value, grad = self._composition(spec, priors, x)
+                assert np.array_equal(target.log_post(x), value)
+                assert np.array_equal(target.grad_log_post(x), grad, equal_nan=True)
+                pair = target.value_and_grad(x)
+                assert np.array_equal(pair[0], value)
+                assert np.array_equal(pair[1], grad, equal_nan=True)
+
+    def test_one_kernel_pass_and_one_prior_pass_per_call(self, monkeypatch):
+        spec, theta = random_model_case(2)  # GEV (1, 0, 0)
+        target = posterior_target(spec, default_priors(spec))
+        calls = []
+        terms, prior_terms = model._terms, samplers._prior_terms
+        monkeypatch.setattr(model, "_terms", lambda *a: calls.append("_terms") or terms(*a))
+        monkeypatch.setattr(samplers, "_prior_terms",
+                            lambda *a: calls.append("_prior_terms") or prior_terms(*a))
+        for x in (theta, batch_rows(spec, theta, ["inside"] * 3, 1)):
+            for call in (target.log_post, target.grad_log_post, target.value_and_grad):
+                calls.clear()
+                call(x)
+                assert sorted(calls) == ["_prior_terms", "_terms"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", range(3))
+    def test_one_rule_for_a_non_finite_theta(self, column, bad):
+        # the same rule in a normal and in a uniform column, for a lone theta and in a batch
+        data = sample(EvdFamily.GEV, ParamTriple(0, 1, 0), RngState(3, 0), size=50)
+        spec = ModelSpec(data=data, covariates=None, config=(0, 0, 0), family=EvdFamily.GEV)
+        priors = PriorSet((PriorComponent("normal", 0.0, 10.0),
+                           PriorComponent("normal", 1.0, 10.0),
+                           PriorComponent("uniform", -1.0, 1.0)))
+        target = posterior_target(spec, priors)
+        good = np.array([0.0, 1.0, 0.1])
+        theta = good.copy()
+        theta[column] = bad
+        for x in (theta, theta[None], np.vstack([good, theta])):
+            for call in (target.log_post, target.value_and_grad):
+                with pytest.raises(DomainError, match="finite"):
+                    call(x)
+        assert np.all(np.isnan(target.grad_log_post(theta)))
+        grad = target.grad_log_post(np.vstack([good, theta, good]))
+        assert np.all(np.isnan(grad[1]))
+        assert np.array_equal(grad[[0, 2]], [target.grad_log_post(good)] * 2)
+
+    def test_theta_and_prior_count_must_match_the_model(self):
+        spec, theta = random_model_case(0)
+        priors = default_priors(spec)
+        target = posterior_target(spec, priors)
+        for call in (target.log_post, target.grad_log_post, target.value_and_grad):
+            with pytest.raises(DomainError, match="length"):
+                call(theta[:-1])
+        with pytest.raises(DomainError, match="priors"):
+            posterior_target(spec, PriorSet(priors.components[:-1]))
 
 
 def edge_target():
