@@ -20,20 +20,22 @@ the cumulative hazard ``-log(1 - F)`` of the GPD and ``-log(-log F)`` of the GEV
 
 ``dh/dz = 1 / (1 + xi z)`` and ``dh/dxi = z**2 M(xi z)`` with
 ``M(y) = (1 / (1 + y) - log1p(y) / y) / y`` give the gradient, and
-quantiles use the inverse ``expm1(xi w) / xi``. ``log1p`` and ``expm1`` are
-accurate to the last bit for small arguments, so h and the quantile take
-the limit z (or w) only where ``xi z`` is 0 or subnormal and has lost its bits:
-xi = 0 yields the Gumbel and exponential limits (Coles 2001, sections 3.1.3
-and 4.2.2). M's closed form cancels, losing about ``5e-16 / |y|``
-relative, so for ``|xi z| < 1e-2`` M is a short Taylor series.
+``d2h/dxi2 = z**3 M'(xi z) = -(z**2 / (1 + xi z)**2 + 2 dh/dxi) / xi`` the
+second derivatives; quantiles use the inverse ``expm1(xi w) / xi``.
+``log1p`` and ``expm1`` are accurate to the last bit for small arguments, so
+h and the quantile take the limit z (or w) only where ``xi z`` is 0 or
+subnormal and has lost its bits: xi = 0 yields the Gumbel and exponential
+limits (Coles 2001, sections 3.1.3 and 4.2.2). The closed forms of M and M'
+cancel, losing about ``5e-16 / |y|`` and ``1e-15 / y**2`` relative, so for
+``|xi z| < 1e-2`` each is a short Taylor series.
 
 One pass per point
 ------------------
 ``logpdf_values`` and ``grad_logpdf_values`` check their arguments and call
 one private pass, ``_terms``, which computes z, the support mask, h and
-exp(-h) once and returns the log-density, the gradient or both. The model
-calls it directly, on parameters it has already checked, so a log-density
-and its gradient at one point cost one pass, not two.
+exp(-h) once and returns the log-density and its first and second
+derivatives as asked. The model calls it directly, on parameters it has
+already checked, so they cost one pass together.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ import numpy as np
 from .errors import DomainError
 
 # Below |y| = _SERIES the Taylor series of M(y), the derivative of
-# log1p(y) / y, replaces its closed form; it is truncated where the next term
-# is under 1e-16 of the sum there.
+# log1p(y) / y, and of M'(y) replace their closed forms; each is truncated
+# where the next term is under 1e-16 of the sum there.
 _SERIES = 1e-2
 _M_COEF = tuple((-1) ** k * k / (k + 1) for k in range(1, 10))
+_M2_COEF = tuple((-1) ** k * k * (k - 1) / (k + 1) for k in range(2, 11))  # M'(y)
 # below |y| = _TINY, y = xi * t is 0 or subnormal, and f(y) / xi is t
 _TINY = np.finfo(float).tiny
 
@@ -99,6 +102,15 @@ def _standardize(family: EvdFamily, x, loc, scale, shape):
     return np.where(inside, z, np.nan), inside
 
 
+def _series(coef, y):
+    """sum(coef[k] * y**k) by Horner's rule."""
+    out = np.full(y.shape, coef[-1])
+    for c in coef[-2::-1]:
+        out *= y
+        out += c
+    return out
+
+
 def _over_xi(f, xi, t):
     """f(xi t) / xi for f = log1p or expm1, and y = xi t; t where y is 0 or subnormal."""
     y = xi * t
@@ -108,18 +120,20 @@ def _over_xi(f, xi, t):
     return out, y
 
 
-def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
+def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool,
+           hess: bool = False):
     """One kernel pass over checked arrays: z, the support, h and exp(-h) once.
 
-    Returns (log-density, gradient): the log-density (-inf outside the
-    support) when value, the (d/dloc, d/dscale, d/dshape) triple (NaN outside
-    the support) when grad, and None for a part not asked for.
+    Returns the log-density (-inf outside the support) when value, the
+    (d/dloc, d/dscale, d/dshape) triple when grad, and when hess (which needs
+    grad) the second derivatives in (loc, scale, shape) pairs 00, 01, 02, 11,
+    12, 22, both NaN outside the support; None for a part not asked for.
     """
     z, inside = _standardize(family, x, loc, scale, shape)
-    logpdf = parts = None
-    # far out in a tail exp(-h) and z * z overflow, to an infinite value or a
-    # non-finite gradient that the callers reject, and so does M's series,
-    # which is computed on every element and then overwritten there
+    logpdf = parts = second = None
+    # far out in a tail exp(-h) and powers of z overflow, to an infinite value or
+    # a non-finite derivative that the callers reject, and so do the series of M
+    # and M', which are computed on every element and then overwritten there
     with np.errstate(over="ignore"):
         h, y = _over_xi(np.log1p, shape, z)
         if family is EvdFamily.GEV:
@@ -131,13 +145,11 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
             logpdf = np.where(inside, out, -np.inf)
         if grad:
             inv_t = 1.0 / (1.0 + y)  # dh/dz
+            z_t, z2, big = z * inv_t, z * z, np.abs(y) >= _SERIES
             # dh/dxi: z**2 M(y) by the series, the closed form where |y| >= _SERIES
-            dh_dxi = np.full(y.shape, _M_COEF[-1])
-            for c in _M_COEF[-2::-1]:  # Horner
-                dh_dxi *= y
-                dh_dxi += c
-            dh_dxi *= z * z
-            np.divide(z * inv_t - h, shape, out=dh_dxi, where=np.abs(y) >= _SERIES)
+            dh_dxi = _series(_M_COEF, y)
+            dh_dxi *= z2
+            np.divide(z_t - h, shape, out=dh_dxi, where=big)
             dlp_dh = -(1.0 + shape)
             if family is EvdFamily.GEV:
                 dlp_dh = dlp_dh + exp_h
@@ -145,7 +157,24 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool):
             gsig = -(1.0 + dlp_dh * z * inv_t) / scale
             gxi = dlp_dh * dh_dxi - h
             parts = gmu, gsig, gxi
-    return logpdf, parts
+        if hess:
+            # d2h/dxi2: z**3 M'(y) by the series, the closed form where |y| >= _SERIES
+            two_dh = 2.0 * dh_dxi
+            d2h = _series(_M2_COEF, y) * (z2 * z)
+            np.divide(-(z_t * z_t + two_dh), shape, out=d2h, where=big)
+            # loc and scale enter through z alone: dz/dloc = -1/scale, dz/dscale = -z/scale
+            dlp_t, s2 = dlp_dh * inv_t, scale * scale
+            zz = -shape * dlp_dh  # d2(logpdf)/dz2 * t**2, and below its d2/dh2 part
+            zx = dlp_t * z_t + inv_t  # -d2(logpdf)/dz dxi, and below its d2/dh2 part
+            xx = dlp_dh * d2h - two_dh
+            if family is EvdFamily.GEV:  # d2(logpdf)/dh2 = -exp(-h)
+                zz -= exp_h
+                zx += exp_h * inv_t * dh_dxi
+                xx -= exp_h * dh_dxi * dh_dxi
+            mm = zz * inv_t * inv_t / s2
+            ms, mx, mmz = dlp_t / s2, zx / scale, mm * z
+            second = mm, mmz + ms, mx, (mmz + 2.0 * ms) * z + 1.0 / s2, mx * z, xx
+    return logpdf, parts, second
 
 
 def logpdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:

@@ -273,17 +273,21 @@ def _checked_params(spec: ModelSpec, theta: np.ndarray):
     return RealizedParams(loc, scale, shape), ok
 
 
-def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool):
-    """Per-row nll and gradient of a checked theta from one kernel pass; None if not asked.
+def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool,
+               hess: bool = False):
+    """Per-row nll, gradient and Hessian of a checked theta from one kernel pass.
 
-    The nll is +inf on a row outside the support, with a scale not finite and
-    > 0, or with a non-finite kernel sum. The gradient is a NaN row on a row
-    with such a scale, or whose gradient is not finite, or (when value is
-    asked too) whose nll is +inf; every other row is finite. For the
-    log-linear scale the inner derivative multiplies by sigma_t; identity
-    links pass covariates straight through. A (K, d) theta whose (K, n)
-    temporaries would hold more than _BATCH_VALUES values goes through in
-    blocks of max(1, _BATCH_VALUES // n) rows, with the same bits per row.
+    A part not asked for is None; hess needs grad and a (d,) theta. The nll
+    is +inf on a row outside the support, with a scale not finite and > 0, or
+    with a non-finite kernel sum. The gradient is a NaN row on a row with
+    such a scale, or whose gradient is not finite, or (when value is asked
+    too) whose nll is +inf; every other row is finite. The Hessian,
+    -sum_ab X_a' diag(w_ab) X_b over the (loc, scale, shape) blocks, is NaN
+    wherever the gradient is. The log-linear scale multiplies its first
+    derivatives by sigma_t (adding the first to its second); identity links
+    pass covariates straight through. A (K, d) theta whose (K, n) temporaries
+    would hold more than _BATCH_VALUES values goes through in blocks of
+    max(1, _BATCH_VALUES // n) rows, with the same bits per row.
     """
     rows = max(1, _BATCH_VALUES // spec.n_obs)
     if theta.ndim == 2 and len(theta) > rows:
@@ -292,25 +296,36 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool):
         return tuple(None if part[0] is None else np.concatenate(part)
                      for part in zip(*blocks))
     (loc, scale, shape), ok = _checked_params(spec, theta)
-    logpdf, parts = _terms(spec.family, spec.data, loc, scale, shape, value, grad)
-    nll = g = None
+    logpdf, parts, second = _terms(spec.family, spec.data, loc, scale, shape, value, grad,
+                                   hess)
+    nll = g = h = None
     if value:
         total = logpdf.sum(axis=-1)
         ok = ok & np.isfinite(total)
         nll = np.where(ok, -total, np.inf)
     if grad:
         gmu, gsig, gxi = parts
-        x_loc, x_scale, x_shape = spec._designs
+        x_loc, x_scale, x_shape = designs = spec._designs
         if spec.config[1] == 0:
             g_gamma = gsig.sum(axis=-1, keepdims=True)
-        else:
-            g_gamma = _matvec(x_scale.T, gsig * scale)
+        else:  # d/dlog(sigma) = sigma d/dsigma
+            gsig = gsig * scale
+            g_gamma = _matvec(x_scale.T, gsig)
         g = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
                             axis=-1)
         ok = ok & np.isfinite(g).all(axis=-1)
         if not ok.all():
             g[~ok] = np.nan
-    return nll, g
+    if hess:
+        mm, ms, mx, ss, sx, xx = second
+        if spec.config[1]:  # d2/dlog(sigma)2 = sigma**2 d2/dsigma2 + sigma d/dsigma
+            ms, sx, ss = ms * scale, sx * scale, ss * scale * scale + gsig
+        w = ((mm, ms, mx), (ms, ss, sx), (mx, sx, xx))
+        h = -np.concatenate([np.concatenate([xa.T @ (xb * w[a][b][:, None])
+                                             for b, xb in enumerate(designs)], axis=1)
+                             for a, xa in enumerate(designs)])
+        h = 0.5 * (h + h.T) if ok else np.full_like(h, np.nan)
+    return nll, g, h
 
 
 def _scalar(nll):
@@ -344,5 +359,5 @@ def nll_and_grad(spec: ModelSpec, theta):
     NaN row, not a DomainError, wherever the nll is +inf or the gradient is
     not finite, for a (d,) theta as for a (K, d) one.
     """
-    nll, g = _nll_terms(spec, _check_theta(spec, theta), value=True, grad=True)
+    nll, g, _ = _nll_terms(spec, _check_theta(spec, theta), value=True, grad=True)
     return _scalar(nll), g

@@ -4,18 +4,15 @@
 fit when not supplied, with a projected, damped Newton method (Bertsekas
 1982, SIAM J. Control Optim. 20(2); Hosking 1985, AS 215, for the GEV):
 
-* The Hessian is the central difference of the nll's gradient, its points
-  sent to ``nll_and_grad`` as one (K, d) batch. Coordinate i steps by 1e-6
-  times the width of its box (times 1 when the box is unbounded), never by
-  |theta_i|, so the Hessian does not depend on where the data sit on the
-  number line. A full Newton step is tried with such a batch at its end
-  point, so when it is taken the next iteration's gradient and Hessian are
-  already there; shorter steps evaluate the nll alone. Above n =
-  _BATCH_VALUES // 2, where the model runs the batch one row per pass, the
-  full step's end is evaluated alone and the batch's other rows only once
-  the step is taken, so a rejected full step costs one row.
-* The step uses the absolute eigenvalues of the width-scaled Hessian, floored
-  away from 0, so it descends even where the nll is not convex.
+* The Hessian is the exact observed information, the model's second
+  derivatives (Prescott & Walden 1980, Biometrika 67), from the same kernel
+  pass as the nll and its gradient. The start and every full Newton step's
+  end get that pass, so when the full step is taken the next iteration's
+  gradient and Hessian are already there; shorter steps evaluate the nll
+  alone.
+* The step uses the absolute eigenvalues of the Hessian scaled by the box
+  widths, floored at rounding level relative to the largest, so it descends
+  even where the nll is not convex.
 * A pinned coordinate (lo == hi, as infer_bounds pins a GPD threshold) is
   held fixed; one at a bound with the gradient pushing outward, or with the
   Newton step pushing outward, is left out of the step.
@@ -40,11 +37,10 @@ import numpy as np
 
 from .distributions import EvdFamily
 from .errors import DomainError, FitError
-from .model import (_BATCH_VALUES, ModelSpec, _slope_scales, neg_log_likelihood, nll_and_grad,
-                    param_dim, realize)
+from .model import ModelSpec, _nll_terms, _slope_scales, neg_log_likelihood, param_dim, realize
 
-_HESS_STEP = 1e-6     # Hessian difference step, as a share of the box width
-_EIG_FLOOR = 1e-10    # smallest |eigenvalue| of the scaled Hessian, relative to the largest
+# smallest |eigenvalue| of the scaled Hessian, relative to the largest: rounding level
+_EIG_FLOOR = np.finfo(float).eps
 _ARMIJO = 1e-4
 _HALVINGS = 60
 _NEWTON_ITER = 100
@@ -83,8 +79,8 @@ class Bounds:
 class FitResult:
     """A minimum of the nll and how fit_mle reached it.
 
-    n_evals counts kernel rows: 1 per nll evaluated alone, 2k + 1 per
-    Hessian batch over k free coordinates. termination names why the fit
+    n_evals counts kernel passes, each of which gives the nll alone or the
+    nll with its gradient and Hessian. termination names why the fit
     stopped: "converged", "max_iter", "hessian_not_finite" or
     "no_descent_step". covariance is the (d, d) inverse Hessian at
     theta_hat, with zero rows and columns at pinned coordinates; it and
@@ -170,56 +166,34 @@ def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _curvature(spec: ModelSpec, theta: np.ndarray, free: np.ndarray, steps: np.ndarray,
-               centre=None):
-    """The nll and gradient at theta and the central-difference Hessian of the free coordinates.
-
-    The 2k + 1 points go to nll_and_grad as one (K, d) batch, which the
-    model splits for long series; centre, the (nll, gradient) at theta when
-    already evaluated, leaves the 2k others. Entries that a point outside the
-    support makes undefined come back NaN.
-    """
-    idx = np.flatnonzero(free)
-    k = np.arange(idx.size)
-    points = np.repeat(theta[None], 2 * idx.size + 1, axis=0)
-    points[1 + k, idx] += steps[idx]
-    points[1 + idx.size + k, idx] -= steps[idx]
-    if centre is None:
-        nll, grads = nll_and_grad(spec, points)
-        centre = float(nll[0]), grads[0]
-    else:
-        grads = np.concatenate([centre[1][None], nll_and_grad(spec, points[1:])[1]])
-    span = points[1 + k, idx] - points[1 + idx.size + k, idx]  # the steps as rounded
-    jac = (grads[1:1 + idx.size, idx] - grads[1 + idx.size:, idx]) / span[:, None]
-    return centre[0], centre[1], 0.5 * (jac + jac.T)
+def _second_order(spec: ModelSpec, theta: np.ndarray):
+    """The nll, its gradient and its Hessian at theta from one kernel pass."""
+    nll, g, hess = _nll_terms(spec, theta, value=True, grad=True, hess=True)
+    return float(nll), g, hess
 
 
-def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
-            free: np.ndarray, scale: np.ndarray, tol: float, max_iter: int):
-    """Projected damped Newton from theta, where the nll is f.
+def _newton(spec: ModelSpec, theta: np.ndarray, curv, bounds: Bounds, free: np.ndarray,
+            scale: np.ndarray, tol: float, max_iter: int):
+    """Projected damped Newton from theta, where _second_order gave curv.
 
-    Returns (theta, nll, termination, Hessian over the free coordinates at
-    theta or None when it is not finite, evaluations); termination is one of
+    Returns (theta, nll, termination, Hessian at theta or None when it is
+    not finite, kernel passes including curv's); termination is one of
     FitResult's four reasons.
     """
     lo, hi = bounds.lo, bounds.hi
-    diff_steps, rows = _HESS_STEP * scale, 2 * int(free.sum()) + 1
-    # the model runs a long series one row per pass: there the full step's end is
-    # evaluated alone, and its Hessian's other rows only once the step is taken
-    row_per_pass = spec.n_obs > _BATCH_VALUES // 2
-    evals, curv = 0, None
+    f, evals = curv[0], 1
     for it in itertools.count():
         if curv is None:
-            curv = _curvature(spec, theta, free, diff_steps)
-            evals += rows
+            curv = _second_order(spec, theta)
+            evals += 1
         _, g, hess = curv
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
             return theta, f, "hessian_not_finite", None, evals
         move = free & ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
         step = np.zeros_like(theta)
         while move.any():
-            sub, s = move[free], scale[move]
-            lam, vec = np.linalg.eigh(hess[np.ix_(sub, sub)] * s[:, None] * s)
+            s = scale[move]
+            lam, vec = np.linalg.eigh(hess[np.ix_(move, move)] * s[:, None] * s)
             lam = np.maximum(np.abs(lam), _EIG_FLOOR * max(np.abs(lam).max(), 1.0))
             step[:] = 0.0
             step[move] = -s * (vec @ ((vec.T @ (s * g[move])) / lam))
@@ -237,21 +211,15 @@ def _newton(spec: ModelSpec, theta: np.ndarray, f: float, bounds: Bounds,
             cand = np.clip(theta + alpha * step, lo, hi)
             if np.array_equal(cand, theta):
                 break
-            if alpha == 1.0 and not row_per_pass:  # the full step brings its curvature along
-                curv = _curvature(spec, cand, free, diff_steps)
-                f_cand, evals = curv[0], evals + rows
-            elif alpha == 1.0:  # its end alone; the other rows follow if it is taken
-                curv = nll_and_grad(spec, cand)
-                f_cand, evals = curv[0], evals + 1
+            evals += 1
+            if alpha == 1.0:  # the full step brings its gradient and Hessian along
+                curv = _second_order(spec, cand)
+                f_cand = curv[0]
             else:
                 curv, f_cand = None, neg_log_likelihood(spec, cand)
-                evals += 1
             # false for +inf, and for a step that rounding leaves at f
             if f_cand < f and f_cand <= f + _ARMIJO * float(g @ (cand - theta)):
                 theta, f, moved = cand, f_cand, True
-                if alpha == 1.0 and row_per_pass:
-                    curv = _curvature(spec, cand, free, diff_steps, curv)
-                    evals += rows - 1
                 break
             alpha *= 0.5
         if not moved:
@@ -267,7 +235,7 @@ def _std_errors(hess, free: np.ndarray, scale: np.ndarray):
     if hess is None:
         return None, None
     s = scale[free]
-    lam, vec = np.linalg.eigh(hess * s[:, None] * s)
+    lam, vec = np.linalg.eigh(hess[np.ix_(free, free)] * s[:, None] * s)
     if not lam.min(initial=math.inf) > 0:
         return None, None
     se = np.zeros(free.size)
@@ -303,15 +271,15 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     max_iter = _NEWTON_ITER if max_iter is None else int(max_iter)
 
     start = np.clip(_into_support(spec, x0), bounds.lo, bounds.hi)
-    f_start = neg_log_likelihood(spec, start)
-    if not math.isfinite(f_start):
+    curv = _second_order(spec, start)
+    if not math.isfinite(curv[0]):
         raise FitError("the nll is not finite at the start, even with the shape shrunk "
                        "into the support")
 
     width = bounds.hi - bounds.lo
     free = ~bounds.pinned
     scale = np.where(np.isfinite(width), width, 1.0)
-    theta, f, termination, hess, evals = _newton(spec, start, f_start, bounds, free, scale,
+    theta, f, termination, hess, evals = _newton(spec, start, curv, bounds, free, scale,
                                                  tol, max_iter)
     se, cov = _std_errors(hess, free, scale)
     return FitResult(theta_hat=theta, nll_min=float(f), converged=termination == "converged",

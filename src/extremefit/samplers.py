@@ -146,7 +146,7 @@ def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
         lp, g = _prior_terms(priors, theta, value, grad)
         if theta.ndim == 1 and lp == -math.inf:  # a lone point skips the likelihood
             return lp, np.full(dim, np.nan)
-        nll, g_nll = _nll_terms(spec, theta, value, grad)
+        nll, g_nll, _ = _nll_terms(spec, theta, value, grad)
         return (lp - _scalar(nll) if value else None), (g - g_nll if grad else None)
 
     return Target(lambda theta: terms(theta, True, False)[0],

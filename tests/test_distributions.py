@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extremefit import (
@@ -20,6 +20,8 @@ from extremefit import (
     sample,
 )
 from extremefit.distributions import (
+    _SERIES,
+    _terms,
     cdf_values,
     grad_logpdf_values,
     logpdf_values,
@@ -315,3 +317,39 @@ class TestOracles:
             expected = float(mp.diff(exact_logpdf, mp.mpf(xi)))
         gxi = grad_logpdf_values(fam, np.array([x]), mu, sig, xi)[2][0]
         assert _scaled_error(gxi, expected) <= 1e-12
+
+    @given(
+        gev=st.booleans(),
+        xi=st.one_of(_tiny_shape(-10.0, -3.0), st.floats(-0.45, 0.45)),
+        mu=st.floats(-10.0, 10.0),
+        sig=st.floats(0.1, 10.0),
+        z=st.floats(-3.0, 30.0),
+    )
+    # xi z on either side of the switch from M' by the series to its closed form
+    @example(gev=True, xi=1e-3, mu=1.0, sig=2.0, z=0.999 * _SERIES / 1e-3)
+    @example(gev=True, xi=1e-3, mu=1.0, sig=2.0, z=1.001 * _SERIES / 1e-3)
+    @example(gev=False, xi=-1e-3, mu=1.0, sig=2.0, z=0.999 * _SERIES / 1e-3)
+    @example(gev=False, xi=-1e-3, mu=1.0, sig=2.0, z=1.001 * _SERIES / 1e-3)
+    @settings(max_examples=150, deadline=None)
+    def test_second_derivatives_match_mpmath(self, gev, xi, mu, sig, z):
+        mp = pytest.importorskip("mpmath")
+        fam = GEV if gev else GPD
+        z = z if gev else abs(z)
+        assume(1.0 + xi * z > 1e-2)
+        x = mu + sig * z
+
+        def exact_logpdf(loc, scale, shape):
+            zz = (mp.mpf(x) - loc) / scale
+            h = mp.log1p(shape * zz) / shape if shape else zz
+            out = -mp.log(scale) - (1 + shape) * h
+            return out - mp.exp(-h) if gev else out
+
+        # (loc, scale, shape) orders of d2/dloc2, d2/dloc dscale, ..., d2/dshape2
+        orders = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        with mp.workdps(50):
+            point = (mp.mpf(mu), mp.mpf(sig), mp.mpf(xi) if xi else mp.mpf("1e-40"))
+            expected = [float(mp.diff(exact_logpdf, point, n)) for n in orders]
+        second = _terms(fam, np.array([x]), mu, sig, xi, value=False, grad=True, hess=True)[2]
+        # M' by its closed form cancels, to about 1e-15 / (xi z)**2 relative
+        bound = 1e-13 if abs(xi * z) < _SERIES else 1e-10
+        assert np.max(_scaled_error([d[0] for d in second], expected)) <= bound

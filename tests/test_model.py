@@ -26,6 +26,7 @@ from extremefit import (
     validate_config,
 )
 from extremefit import model
+from extremefit.distributions import quantile_values
 from _cases import ROW_KINDS, batch_rows, random_model_case
 
 GEV = EvdFamily.GEV
@@ -191,6 +192,47 @@ class TestGradNegLogLikelihood:
         s = _spec(np.array([5.0]), None, (0, 0, 0))
         with pytest.raises(DomainError):
             grad_neg_log_likelihood(s, [0.0, 1.0, -0.5])
+
+
+def _hessian(spec, theta):
+    return model._nll_terms(spec, np.asarray(theta, dtype=float), value=True, grad=True,
+                            hess=True)[2]
+
+
+class TestHessian:
+    """The exact Hessian of the nll from one kernel pass."""
+
+    @given(family=st.sampled_from([GEV, EvdFamily.GPD]),
+           config=st.tuples(*[st.integers(0, 1)] * 3), seed=st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_central_differences_of_the_gradient(self, family, config, seed):
+        # b = 0 is the stationary scale, b = 1 the log link
+        rng = np.random.default_rng(seed)
+        a, b, c = config
+        n = 60
+        cov = rng.normal(size=(n, 1))
+        theta = np.concatenate([[3.0 * rng.normal()], 0.5 * rng.normal(size=a),
+                                [0.3 * rng.normal(), *0.2 * rng.normal(size=b)] if b
+                                else [0.5 + abs(rng.normal())],
+                                [0.6 * (rng.random() - 0.5)], 0.05 * rng.normal(size=c)])
+        shell = _spec(np.zeros(n), cov, config, family)
+        data = quantile_values(family, 0.02 + 0.96 * rng.random(n), *realize(shell, theta))
+        spec = _spec(data, cov, config, family)
+        hess = _hessian(spec, theta)
+        assert np.array_equal(hess, hess.T)
+        rows = []
+        for i in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[i] += 1e-6 * max(1.0, abs(theta[i]))
+            down[i] -= 1e-6 * max(1.0, abs(theta[i]))
+            rows.append((nll_and_grad(spec, up)[1] - nll_and_grad(spec, down)[1])
+                        / (up[i] - down[i]))
+        diff = np.array(rows)
+        assert np.max(np.abs(hess - diff)) <= 1e-7 * np.max(np.abs(diff))
+
+    def test_nan_where_the_gradient_is(self):
+        s = _spec(np.array([5.0, 6.0]), None, (0, 0, 0))
+        assert np.isnan(_hessian(s, [0.0, 1.0, -0.5])).all()  # 5 lies above the endpoint 2
 
 
 class TestValidateConfig:
