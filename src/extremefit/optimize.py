@@ -177,39 +177,42 @@ def _newton(spec: ModelSpec, theta: np.ndarray, curv, bounds: Bounds, free: np.n
     """Projected damped Newton from theta, where _second_order gave curv.
 
     Returns (theta, nll, termination, Hessian at theta or None when it is
-    not finite, kernel passes including curv's); termination is one of
-    FitResult's four reasons.
+    not finite, the scaled Hessian's eigendecomposition over the free
+    coordinates when the last step moved them all or None, kernel passes
+    including curv's); termination is one of FitResult's four reasons.
     """
     lo, hi = bounds.lo, bounds.hi
-    f, evals = curv[0], 1
+    f, evals, n_free = curv[0], 1, int(free.sum())
     for it in itertools.count():
         if curv is None:
             curv = _second_order(spec, theta)
             evals += 1
         _, g, hess = curv
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
-            return theta, f, "hessian_not_finite", None, evals
+        if not np.isfinite(hess).all():  # NaN wherever the gradient is not finite
+            return theta, f, "hessian_not_finite", None, None, evals
         move = free & ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
-        step = np.zeros_like(theta)
+        step, eig = np.zeros_like(theta), None
         while move.any():
-            s = scale[move]
-            lam, vec = np.linalg.eigh(hess[np.ix_(move, move)] * s[:, None] * s)
-            lam = np.maximum(np.abs(lam), _EIG_FLOOR * max(np.abs(lam).max(), 1.0))
+            idx = np.flatnonzero(move)
+            s = scale[idx]
+            lam, vec = np.linalg.eigh(hess[idx[:, None], idx] * s[:, None] * s)
+            floored = np.maximum(np.abs(lam), _EIG_FLOOR * max(np.abs(lam).max(), 1.0))
             step[:] = 0.0
-            step[move] = -s * (vec @ ((vec.T @ (s * g[move])) / lam))
+            step[idx] = -s * (vec @ ((vec.T @ (s * g[idx])) / floored))
             out = ((theta <= lo) & (step < 0)) | ((theta >= hi) & (step > 0))
             if not out.any():
+                eig = (lam, vec) if len(idx) == n_free else None
                 break
             move &= ~out
         decrement = -float(g @ step)
         if decrement <= tol:
-            return theta, f, "converged", hess, evals
+            return theta, f, "converged", hess, eig, evals
         if it >= max_iter:
-            return theta, f, "max_iter", hess, evals
+            return theta, f, "max_iter", hess, eig, evals
         alpha, moved = 1.0, False
         for _ in range(_HALVINGS):  # Armijo backtracking along the projection arc
-            cand = np.clip(theta + alpha * step, lo, hi)
-            if np.array_equal(cand, theta):
+            cand = np.minimum(np.maximum(theta + alpha * step, lo), hi)
+            if (cand == theta).all():
                 break
             evals += 1
             if alpha == 1.0:  # the full step brings its gradient and Hessian along
@@ -223,19 +226,20 @@ def _newton(spec: ModelSpec, theta: np.ndarray, curv, bounds: Bounds, free: np.n
                 break
             alpha *= 0.5
         if not moved:
-            return theta, f, "no_descent_step", hess, evals
+            return theta, f, "no_descent_step", hess, eig, evals
 
 
-def _std_errors(hess, free: np.ndarray, scale: np.ndarray):
+def _std_errors(hess, free: np.ndarray, scale: np.ndarray, eig=None):
     """The inverse Hessian's diagonal square roots and the inverse itself.
 
     Both are None unless the Hessian is positive definite. A pinned
     coordinate is not estimated, so its standard error, row and column are 0.
+    eig, when given, is _newton's eigendecomposition of the same scaled block.
     """
     if hess is None:
         return None, None
     s = scale[free]
-    lam, vec = np.linalg.eigh(hess[np.ix_(free, free)] * s[:, None] * s)
+    lam, vec = eig or np.linalg.eigh(hess[np.ix_(free, free)] * s[:, None] * s)
     if not lam.min(initial=math.inf) > 0:
         return None, None
     se = np.zeros(free.size)
@@ -279,9 +283,9 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     width = bounds.hi - bounds.lo
     free = ~bounds.pinned
     scale = np.where(np.isfinite(width), width, 1.0)
-    theta, f, termination, hess, evals = _newton(spec, start, curv, bounds, free, scale,
-                                                 tol, max_iter)
-    se, cov = _std_errors(hess, free, scale)
+    theta, f, termination, hess, eig, evals = _newton(spec, start, curv, bounds, free, scale,
+                                                      tol, max_iter)
+    se, cov = _std_errors(hess, free, scale, eig)
     return FitResult(theta_hat=theta, nll_min=float(f), converged=termination == "converged",
                      n_evals=evals, std_errors=se, termination=termination, covariance=cov)
 

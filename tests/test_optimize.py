@@ -467,6 +467,23 @@ class TestTermination:
         assert 0.0 <= data.min() - fit.theta_hat[0] <= 1e-15
         assert fit.std_errors is None
 
+    def test_hessian_not_finite(self, monkeypatch):
+        # the exact Hessian is NaN only where the gradient is, which no fit input
+        # reaches, so the first full step's end is given a NaN Hessian here
+        passes = []
+
+        def second_order(spec, theta):
+            nll, g, hess = real(spec, theta)
+            passes.append(len(passes))
+            return nll, g, hess if len(passes) == 1 else np.full_like(hess, np.nan)
+
+        real = optimize._second_order
+        monkeypatch.setattr(optimize, "_second_order", second_order)
+        fit = fit_mle(_gev_spec(n=400, seed=406))
+        assert not fit.converged and fit.termination == "hessian_not_finite"
+        assert fit.std_errors is None and fit.covariance is None
+        assert len(passes) == 2 and fit.n_evals == 2
+
     def test_no_descent_step_at_an_optimum(self):
         spec = _gev_spec(n=60, seed=30)
         best = fit_mle(spec)

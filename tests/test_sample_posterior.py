@@ -152,6 +152,7 @@ class TestSeededTraces:
         assert chains[-1].samples[-1].tolist() == self.PINNED[temp, kind]
 
 
+@pytest.mark.slow
 class TestSimulationBasedCalibration:
     """Ranks of prior draws among their posterior draws are uniform (Talts et al. 2018).
 

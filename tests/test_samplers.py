@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extremefit import (
     DomainError,
@@ -724,8 +726,8 @@ class TestPrefetch:
         chain = mh_random_walk(batched_normal_target(rows), 300, [0.0, 0.0], [1.8, 1.8],
                                rng=RngState(3, 0), burn_in=100)
         assert 0.25 < chain.acceptance_rate < 0.35
-        calls = len(rows) - 1  # after the start's
-        assert calls < 0.6 * 400
+        calls = len(rows) - 1  # after the start's; 136 measured (187 with floor(1 / a) rows)
+        assert calls < 0.4 * 400
         assert max(rows) <= 8 and sum(rows) - 1 >= 400
 
     def test_mala_at_high_acceptance_evaluates_one_row_per_iteration(self):
@@ -733,9 +735,37 @@ class TestPrefetch:
         chain = mala(batched_normal_target(rows), 300, [0.0, 0.0], [0.8, 0.8],
                      rng=RngState(3, 0), burn_in=100)
         assert chain.acceptance_rate > 0.9
-        # the first round, with no history, scores two rows; every later call one
-        assert rows[:2] == [1, 2] and set(rows[2:]) == {1}
-        assert len(rows) - 1 == 400
+        # a second row would be reached at the rejection rate, below 1 / batch_rows = 1/8
+        assert set(rows) == {1} and len(rows) - 1 == 400
+
+    @given(st.integers(1, 64), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_depth_prices_each_row(self, budget, n, rejected):
+        assume(rejected <= n)
+        m = samplers._depth(rejected, n, budget)
+        assert 1 <= m <= budget
+        if rejected == 0 or budget == 1:
+            assert m == 1
+        if rejected == n > 0:
+            assert m == budget
+        assert samplers._depth(min(rejected + 1, n), n, budget) >= m
+        # the m-th row's chance q**(m - 1) of being reached is worth 1 / budget of a call,
+        # the next one's is not (up to rounding at a tie)
+        q = rejected / n if n else 0.0
+        assert q ** (m - 1) * budget >= 1 - 1e-12
+        assert m == budget or q**m * budget < 1 + 1e-12
+
+    @pytest.mark.parametrize("budget, left", [(8, 1), (8, 3), (4, 6)])
+    def test_rows_capped_by_the_iterations_left(self, budget, left):
+        rows = []
+        target = batched_normal_target(rows)
+        target.batch_rows = budget
+        chain = mh_random_walk(target, left, [0.0, 0.0], [50.0, 50.0], rng=RngState(1, 0),
+                               burn_in=0)
+        assert chain.acceptance_rate == 0.0
+        # one row before the first rejection, then all the budget the iterations leave
+        expect = [1] + [min(budget, left - 1 - i) for i in range(0, left - 1, budget)]
+        assert rows[1:] == expect
 
     def test_long_series_speculates_nothing(self):
         data = sample(EvdFamily.GEV, ParamTriple(10, 2, 0.1), RngState(30, 0), size=20_000)
