@@ -377,7 +377,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         cov_names = [f"cov_{j}" for j in range(m)]
     spec = _build_spec(args.dist, args.config, np.zeros(n), covariates)
     theta = _check_len(args.true_params, param_dim(spec), "--true-params")
-    if b == 0 and theta[a + 1] <= 0:
+    if b == 0 and theta[spec._blocks[1].coefs.start] <= 0:
         raise ConfigError("--true-params scale entry must be > 0")
     loc, scale, shape = realize(spec, theta)
     rng = RngState(args.seed, 0)

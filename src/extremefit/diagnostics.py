@@ -221,15 +221,12 @@ def _warm_start(spec_null: ModelSpec, spec_alt: ModelSpec, theta_null) -> np.nda
     The alternative's extra slopes are 0, and a stationary null scale becomes
     its log when the alternative's scale is log-linear.
     """
-    out, start = [], 0
-    for which in range(3):
-        cols = spec_null.columns_for(which)
-        block = theta_null[start:start + len(cols) + 1]
-        start += len(cols) + 1
-        intercept = block[0]
+    out = []
+    for which, (coefs, _) in enumerate(spec_null._blocks):
+        intercept, *rest = theta_null[coefs]
         if which == 1 and spec_null.config[1] == 0 and spec_alt.config[1] > 0:
             intercept = math.log(intercept)
-        slopes = dict(zip(cols, block[1:]))
+        slopes = dict(zip(spec_null.columns_for(which), rest))
         out += [intercept] + [slopes.get(col, 0.0) for col in spec_alt.columns_for(which)]
     return np.array(out, dtype=float)
 

@@ -7,6 +7,9 @@ vector is
 
     theta = [loc coefficients (a+1) | scale coefficients (b+1) | shape (c+1)]
 
+each block its intercept and then its slopes. ``ModelSpec._blocks`` owns that
+layout: each block's slice of theta and its (n, 1 + k) design, ones column first.
+
 Location and shape use identity links. The scale is the raw (positive)
 coefficient when b = 0 and log-linear, ``sigma_t = exp(gamma . x_t)``,
 when covariates enter, which guarantees positivity.
@@ -26,15 +29,16 @@ outside the support or with scale <= 0, and a (K, d) gradient with NaN rows
 there. The three nll functions share one private pass through the kernel,
 so ``nll_and_grad`` equals the separate calls bit for bit and costs little
 more than the gradient alone. Every row is bit-identical to the (d,) call
-on that row, whatever K: the design products are stacked matmuls
-``x @ v[..., None]`` (one matrix-vector product per row, measured to match a
-lone ``x @ v`` bit for bit, where a plain (K, d) gemm does not) and the sums
-run along the contiguous last axis. A non-finite theta entry raises
-DomainError in either form.
+on that row, whatever K: an intercept alone is repeated, every other
+design product is a stacked matmul ``x @ v[..., None]`` (one matrix-vector
+product per row, measured to match a lone ``x @ v`` bit for bit, where a
+plain (K, d) gemm does not), and the sums run along the contiguous last
+axis. A non-finite theta entry raises DomainError in either form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +62,13 @@ class RealizedParams(NamedTuple):
     loc: np.ndarray
     scale: np.ndarray
     shape: np.ndarray
+
+
+class _Block(NamedTuple):
+    """One of location, scale and shape: its slice of theta and its (n, 1 + k) design."""
+
+    coefs: slice
+    design: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,38 +132,33 @@ class ModelSpec:
         return stationary_estimate(self.family, self.data)
 
     @cached_property
-    def _designs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _blocks(self) -> tuple[_Block, _Block, _Block]:
+        """theta's (loc, scale, shape) blocks in order; a design's columns follow columns_for."""
         ones = np.ones((self.n_obs, 1))
-        mats = []
-        for which in range(3):
+        blocks, start = [], 0
+        for which, count in enumerate(self.config):
             cols = self.columns_for(which)
-            if cols:
-                mats.append(np.hstack([ones, self.covariates[:, list(cols)]]))
-            else:
-                mats.append(ones)
-        return tuple(mats)
+            if len(cols) != count or not all(0 <= i < self.n_covariates for i in cols):
+                raise DomainError(f"config {self.config} does not match the covariate columns; "
+                                  "see validate_config")
+            design = np.hstack([ones, self.covariates[:, list(cols)]]) if cols else ones
+            blocks.append(_Block(slice(start, start + count + 1), design))
+            start += count + 1
+        return tuple(blocks)
 
 
 def param_dim(spec: ModelSpec) -> int:
     """Packed parameter vector length (a+1) + (b+1) + (c+1)."""
-    a, b, c = spec.config
-    return (a + 1) + (b + 1) + (c + 1)
+    return sum(spec.config) + 3
 
 
 def param_names(spec: ModelSpec) -> list[str]:
     """Labels in packing order, e.g. [loc_intercept, loc_slope_0, scale, shape]."""
-    a, b, c = spec.config
-    names = ["loc_intercept"] + [f"loc_slope_{i}" for i in range(a)]
-    if b == 0:
-        names.append("scale")
-    else:
-        names.append("logscale_intercept")
-        names.extend(f"logscale_slope_{j}" for j in range(b))
-    if c == 0:
-        names.append("shape")
-    else:
-        names.append("shape_intercept")
-        names.extend(f"shape_slope_{k}" for k in range(c))
+    names = []
+    for count, prefix, alone in zip(spec.config, ("loc", "logscale", "shape"),
+                                    ("loc_intercept", "scale", "shape")):
+        slopes = [f"{prefix}_slope_{j}" for j in range(count)]
+        names += [f"{prefix}_intercept", *slopes] if count else [alone]
     return names
 
 
@@ -164,11 +170,6 @@ def _slope_scales(spec: ModelSpec, which: int, unit: float) -> list[tuple[float,
     """
     return [(unit / max(float(np.std(column)), 1e-6), abs(float(np.mean(column))))
             for column in (spec.covariates[:, col] for col in spec.columns_for(which))]
-
-
-def _split(spec: ModelSpec, theta: np.ndarray):
-    a, b, c = spec.config
-    return theta[..., : a + 1], theta[..., a + 1 : a + b + 2], theta[..., a + b + 2 :]
 
 
 def validate_config(spec: ModelSpec) -> list[str]:
@@ -226,20 +227,19 @@ def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x @ v if v.ndim == 1 else (x @ v[..., None])[..., 0]
 
 
+def _linear(block: _Block, theta: np.ndarray) -> np.ndarray:
+    """design @ coefficients per observation; an intercept alone is repeated (1 * v is exact)."""
+    v, x = theta[..., block.coefs], block.design
+    return v.repeat(len(x), axis=-1) if x.shape[1] == 1 else _matvec(x, v)
+
+
 def _realize(spec: ModelSpec, theta: np.ndarray) -> RealizedParams:
     """realize for a checked theta, without the scale check."""
-    n = spec.n_obs
-
-    def linear(x, v):  # an intercept alone is repeated, not multiplied: 1 * v is exact
-        return np.repeat(v, n, axis=-1) if v.shape[-1] == 1 else _matvec(x, v)
-
-    beta, gamma, delta = _split(spec, theta)
-    x_loc, x_scale, x_shape = spec._designs
-    scale = linear(x_scale, gamma)
+    loc, scale, shape = (_linear(block, theta) for block in spec._blocks)
     if spec.config[1]:  # the log-linear scale
         with np.errstate(over="ignore"):
             scale = np.exp(scale)
-    return RealizedParams(linear(x_loc, beta), scale, linear(x_shape, delta))
+    return RealizedParams(loc, scale, shape)
 
 
 def realize(spec: ModelSpec, theta) -> RealizedParams:
@@ -249,9 +249,8 @@ def realize(spec: ModelSpec, theta) -> RealizedParams:
     raises DomainError.
     """
     theta = _check_theta(spec, theta)
-    a, b, _ = spec.config
-    if b == 0 and np.any(theta[..., a + 1] <= 0):
-        raise DomainError(f"scale must be > 0 when stationary, got {theta[..., a + 1]}")
+    if spec.config[1] == 0 and np.any((scale := theta[..., spec._blocks[1].coefs.start]) <= 0):
+        raise DomainError(f"scale must be > 0 when stationary, got {scale}")
     return _realize(spec, theta)
 
 
@@ -266,8 +265,8 @@ def _checked_params(spec: ModelSpec, theta: np.ndarray):
     which the final finiteness checks catch.
     """
     loc, scale, shape = _realize(spec, theta)
-    a, b, _ = spec.config
-    ok = theta[..., a + 1] > 0 if b == 0 else ((scale > 0) & (scale < np.inf)).all(axis=-1)
+    ok = (theta[..., spec._blocks[1].coefs.start] > 0 if spec.config[1] == 0
+          else ((scale > 0) & (scale < np.inf)).all(axis=-1))
     if not ok.all():
         scale[~ok] = 1.0
     return RealizedParams(loc, scale, shape), ok
@@ -281,12 +280,13 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool,
     is +inf on a row outside the support, with a scale not finite and > 0, or
     with a non-finite kernel sum. The gradient is a NaN row on a row with
     such a scale, or whose gradient is not finite, or (when value is asked
-    too) whose nll is +inf; every other row is finite. The Hessian,
-    -sum_ab X_a' diag(w_ab) X_b over the (loc, scale, shape) blocks, is NaN
-    wherever the gradient is. The log-linear scale multiplies its first
-    derivatives by sigma_t (adding the first to its second); identity links
-    pass covariates straight through. A (K, d) theta whose (K, n) temporaries
-    would hold more than _BATCH_VALUES values goes through in blocks of
+    too) whose nll is +inf; every other row is finite. The Hessian, block
+    (a, b) -X_a' diag(w_ab) X_b, is one product per block pair a <= b with
+    the upper triangle mirrored, exactly symmetric, and NaN wherever the
+    gradient is. The log-linear scale multiplies its first derivatives by
+    sigma_t (adding the first to its second); identity links pass covariates
+    straight through. A (K, d) theta whose (K, n) temporaries would hold
+    more than _BATCH_VALUES values goes through in blocks of
     max(1, _BATCH_VALUES // n) rows, with the same bits per row.
     """
     rows = max(1, _BATCH_VALUES // spec.n_obs)
@@ -305,14 +305,10 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool,
         nll = np.where(ok, -total, np.inf)
     if grad:
         gmu, gsig, gxi = parts
-        x_loc, x_scale, x_shape = designs = spec._designs
-        if spec.config[1] == 0:
-            g_gamma = gsig.sum(axis=-1, keepdims=True)
-        else:  # d/dlog(sigma) = sigma d/dsigma
+        if spec.config[1]:  # d/dlog(sigma) = sigma d/dsigma
             gsig = gsig * scale
-            g_gamma = _matvec(x_scale.T, gsig)
-        g = -np.concatenate([_matvec(x_loc.T, gmu), g_gamma, _matvec(x_shape.T, gxi)],
-                            axis=-1)
+        g = -np.concatenate([_matvec(x.T, part)
+                             for (_, x), part in zip(spec._blocks, (gmu, gsig, gxi))], axis=-1)
         ok = ok & np.isfinite(g).all(axis=-1)
         if not ok.all():
             g[~ok] = np.nan
@@ -320,11 +316,13 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool,
         mm, ms, mx, ss, sx, xx = second
         if spec.config[1]:  # d2/dlog(sigma)2 = sigma**2 d2/dsigma2 + sigma d/dsigma
             ms, sx, ss = ms * scale, sx * scale, ss * scale * scale + gsig
-        w = ((mm, ms, mx), (ms, ss, sx), (mx, sx, xx))
-        h = -np.concatenate([np.concatenate([xa.T @ (xb * w[a][b][:, None])
-                                             for b, xb in enumerate(designs)], axis=1)
-                             for a, xa in enumerate(designs)])
-        h = 0.5 * (h + h.T) if ok else np.full_like(h, np.nan)
+        h = np.empty((theta.size, theta.size))
+        pairs = itertools.combinations_with_replacement(spec._blocks, 2)
+        for (a, b), w in zip(pairs, (mm, ms, mx, ss, sx, xx)):
+            h[a.coefs, b.coefs] = -(a.design.T @ (b.design * w[:, None]))
+        for i in range(1, theta.size):  # mirror the upper triangle; np.tril_indices costs more
+            h[i, :i] = h[:i, i]
+        h = h if ok else np.full_like(h, np.nan)
     return nll, g, h
 
 

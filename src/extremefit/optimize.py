@@ -110,22 +110,20 @@ def infer_bounds(spec: ModelSpec) -> Bounds:
     pinned at 0.
     """
     est = spec.lmoment_estimate
-    a, b, c = spec.config
     intercepts = ((est.loc - 10.0 * est.scale, est.loc + 10.0 * est.scale),
-                  (1e-8 * est.scale, 100.0 * est.scale) if b == 0
+                  (1e-8 * est.scale, 100.0 * est.scale) if spec.config[1] == 0
                   else (math.log(est.scale) - 5.0, math.log(est.scale) + 5.0),
                   (-0.5, 0.5))
-    lo: list[float] = []
-    hi: list[float] = []
-    for which, (low, high) in enumerate(intercepts):
+    lo, hi = np.empty(param_dim(spec)), np.empty(param_dim(spec))
+    for which, ((coefs, _), (low, high)) in enumerate(zip(spec._blocks, intercepts)):
         slopes = _slope_scales(spec, which, 10.0)
         for half, mean in slopes:
             low, high = low - mean * half, high + mean * half
-        lo += [low] + [-half for half, _ in slopes]
-        hi += [high] + [half for half, _ in slopes]
+        lo[coefs] = [low] + [-half for half, _ in slopes]
+        hi[coefs] = [high] + [half for half, _ in slopes]
     if spec.family is EvdFamily.GPD:
-        lo[: a + 1] = hi[: a + 1] = [0.0] * (a + 1)
-    return Bounds(np.array(lo), np.array(hi))
+        lo[spec._blocks[0].coefs] = hi[spec._blocks[0].coefs] = 0.0
+    return Bounds(lo, hi)
 
 
 def default_start(spec: ModelSpec) -> np.ndarray:
@@ -136,13 +134,12 @@ def default_start(spec: ModelSpec) -> np.ndarray:
     the support (see _into_support).
     """
     est = spec.lmoment_estimate
-    a, b, c = spec.config
-    theta = [est.loc] + [0.0] * a
-    theta.append(est.scale if b == 0 else math.log(est.scale))
-    theta.extend([0.0] * b)
-    theta.append(min(max(est.shape, -0.45), 0.45))
-    theta.extend([0.0] * c)
-    return _into_support(spec, np.array(theta))
+    intercepts = (est.loc, est.scale if spec.config[1] == 0 else math.log(est.scale),
+                  min(max(est.shape, -0.45), 0.45))
+    theta = np.zeros(param_dim(spec))
+    for (coefs, _), value in zip(spec._blocks, intercepts):
+        theta[coefs.start] = value
+    return _into_support(spec, theta)
 
 
 def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
@@ -154,15 +151,14 @@ def _into_support(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     is. GPD data below the threshold stay outside the support whatever the
     shape.
     """
-    a, b, _ = spec.config
-    if b == 0 and not theta[a + 1] > 0:
+    if spec.config[1] == 0 and not theta[spec._blocks[1].coefs.start] > 0:
         return theta  # no shape puts data inside a support with scale <= 0
     loc, scale, shape = realize(spec, theta)
     worst = float(np.max(-shape * (spec.data - loc) / scale))
     if not worst >= 1.0:
         return theta
     out = theta.copy()
-    out[a + b + 2:] *= 0.5 / worst
+    out[spec._blocks[2].coefs] *= 0.5 / worst
     return out
 
 
@@ -269,12 +265,13 @@ def fit_mle(spec: ModelSpec, x0=None, bounds: Bounds | None = None,
     dim = param_dim(spec)
     if bounds.lo.size != dim:
         raise DomainError(f"bounds have length {bounds.lo.size}, expected {dim}")
-    if x0 is None:
-        x0 = default_start(spec)
-    x0 = np.clip(np.asarray(x0, dtype=float), bounds.lo, bounds.hi)
+    default = x0 is None
+    x0 = default_start(spec) if default else np.asarray(x0, dtype=float)
     max_iter = _NEWTON_ITER if max_iter is None else int(max_iter)
 
-    start = np.clip(_into_support(spec, x0), bounds.lo, bounds.hi)
+    start = np.clip(x0, bounds.lo, bounds.hi)
+    if not (default and np.array_equal(start, x0)):  # default_start's point is in the support
+        start = np.clip(_into_support(spec, start), bounds.lo, bounds.hi)
     curv = _second_order(spec, start)
     if not math.isfinite(curv[0]):
         raise FitError("the nll is not finite at the start, even with the shape shrunk "

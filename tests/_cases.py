@@ -87,15 +87,16 @@ def batch_rows(spec: ModelSpec, theta, kinds, seed: int) -> np.ndarray:
     "zero_scale" and "bad_scale" make the realized scale 0 and negative (a
     raw scale) or 0 and +inf (a log-linear scale whose exp under/overflows).
     """
-    a, b, _ = spec.config
+    b = spec.config[1]
+    scale, shape = (block.coefs.start for block in spec._blocks[1:])
     rows = theta + 0.01 * RngState(seed, 0).normals(len(kinds) * theta.size).reshape(
         len(kinds), theta.size)
     for row, kind in zip(rows, kinds):
         if kind == "outside":
             row[0] = spec.data.max() + 100.0
-            row[a + b + 2] = 0.5
+            row[shape] = 0.5
         elif kind == "zero_scale":
-            row[a + 1] = 0.0 if b == 0 else -800.0
+            row[scale] = 0.0 if b == 0 else -800.0
         elif kind == "bad_scale":
-            row[a + 1] = -abs(row[a + 1]) if b == 0 else 800.0
+            row[scale] = -abs(row[scale]) if b == 0 else 800.0
     return rows

@@ -17,6 +17,7 @@ from extremefit import (
     default_priors,
     fit_mle,
     grad_neg_log_likelihood,
+    infer_bounds,
     neg_log_likelihood,
     nll_and_grad,
     param_dim,
@@ -27,6 +28,7 @@ from extremefit import (
 )
 from extremefit import model
 from extremefit.distributions import quantile_values
+from extremefit.optimize import default_start
 from _cases import ROW_KINDS, batch_rows, random_model_case
 
 GEV = EvdFamily.GEV
@@ -69,6 +71,63 @@ class TestParamNames:
             "shape_intercept",
             "shape_slope_0",
         ]
+
+
+@st.composite
+def _layout_specs(draw):
+    """Specs up to (2, 2, 2) on three covariates, with or without covariate_columns."""
+    family = draw(st.sampled_from([GEV, EvdFamily.GPD]))
+    config = draw(st.tuples(*[st.integers(0, 2)] * 3))
+    columns = draw(st.none() | st.tuples(*(st.lists(st.integers(0, 2), min_size=k, max_size=k)
+                                           for k in config)))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    n = 40
+    cov = rng.normal(size=(n, 3)) * [1.0, 2.0, 5.0] + [0.0, 1.0, -3.0]  # distinct std and mean
+    u = 0.02 + 0.96 * rng.random(n)
+    data = (quantile_values(family, u, 10.0, 2.0, 0.1) if family is GEV
+            else quantile_values(family, u, 0.0, 1.0, 0.1))
+    return _spec(data, cov, config, family, columns)
+
+
+class TestLayout:
+    """ModelSpec._blocks is the packed theta's one layout, and every derived vector follows it."""
+
+    @given(spec=_layout_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_tile_theta_with_intercepts_first(self, spec):
+        blocks = spec._blocks
+        assert blocks[0].coefs.start == 0 and blocks[-1].coefs.stop == param_dim(spec)
+        for (coefs, _), (after, _) in zip(blocks, blocks[1:]):
+            assert coefs.stop == after.start
+        est = spec.lmoment_estimate
+        stationary = spec.config[1] == 0
+        anchors = (est.loc, est.scale if stationary else math.log(est.scale), 0.0)
+        names = param_names(spec)
+        bounds, start, priors = infer_bounds(spec), default_start(spec), default_priors(spec)
+        means = np.array([comp.a for comp in priors.components])
+        sds = np.array([comp.b for comp in priors.components])
+        intercept_names = ("loc_intercept", "scale" if stationary else "logscale_intercept",
+                           "shape" if spec.config[2] == 0 else "shape_intercept")
+        for which, ((coefs, design), count) in enumerate(zip(blocks, spec.config)):
+            cols = list(spec.columns_for(which))
+            assert coefs.step is None and coefs.stop - coefs.start == count + 1
+            assert np.array_equal(design, np.column_stack([np.ones(spec.n_obs),
+                                                           spec.covariates[:, cols]]))
+            head, slopes = coefs.start, np.arange(coefs.start + 1, coefs.stop)
+            assert names[head] == intercept_names[which]
+            assert all("slope" in names[i] for i in slopes)
+            inv_std = 1.0 / np.std(spec.covariates[:, cols], axis=0)
+            assert np.array_equal(start[slopes], np.zeros(count))
+            assert means[head] == anchors[which] and np.all(means[slopes] == 0.0)
+            assert np.allclose(sds[slopes], inv_std, rtol=1e-14, atol=0.0)
+            if which == 0 and spec.family is EvdFamily.GPD:  # the pinned threshold
+                assert np.all(bounds.lo[coefs] == 0.0) and np.all(bounds.hi[coefs] == 0.0)
+                continue
+            assert np.allclose(bounds.hi[slopes], 10.0 * inv_std, rtol=1e-14, atol=0.0)
+            assert np.array_equal(bounds.lo[slopes], -bounds.hi[slopes])
+            assert bounds.lo[head] < anchors[which] < bounds.hi[head]
+            if which < 2:
+                assert start[head] == anchors[which]
 
 
 class TestRealize:
@@ -265,6 +324,20 @@ class TestValidateConfig:
     def test_explicit_column_index_out_of_range(self):
         s = _spec(np.ones(4), np.ones((4, 2)), (1, 0, 0), columns=((5,), (), ()))
         assert any("outside" in v for v in validate_config(s))
+
+    @pytest.mark.parametrize("cov, config, columns", [
+        (np.ones((5, 2)), (1, 0, 0), ((0, 1), (), ())),  # two columns for one slope
+        (np.ones((5, 2)), (1, 0, 0), ((5,), (), ())),
+        (np.ones((5, 1)), (2, 0, 0), None),
+    ])
+    def test_model_functions_refuse_what_validate_config_reports(self, cov, config, columns):
+        s = _spec(np.arange(1.0, 6.0), cov, config, columns=columns)
+        assert validate_config(s)
+        theta = np.array([1.0] + [0.0] * config[0] + [1.0, 0.1])
+        for call in (lambda: realize(s, theta), lambda: neg_log_likelihood(s, theta),
+                     lambda: fit_mle(s), lambda: infer_bounds(s)):
+            with pytest.raises(DomainError):
+                call()
 
 
 def _grad_or_nan(spec, theta):

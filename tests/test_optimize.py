@@ -247,6 +247,27 @@ class TestStartInSupport:
         assert fit.converged
         assert fit.nll_min <= neg_log_likelihood(spec, start)
 
+    def test_default_start_moves_into_the_support_once(self, monkeypatch):
+        # default_start shrinks this series' shape; fit_mle does not shrink it again
+        u = np.random.default_rng(14).random(50)
+        spec = ModelSpec(data=((1.0 - u) ** 0.2 - 1.0) / -0.2, covariates=None,
+                         config=(0, 0, 0), family=EvdFamily.GPD)
+        start = default_start(spec)
+        assert not np.array_equal(start, self._lmoment_point(spec))
+        calls = []
+        real = optimize._into_support
+        monkeypatch.setattr(optimize, "_into_support",
+                            lambda *args: calls.append(args) or real(*args))
+        default = fit_mle(spec)
+        assert len(calls) == 1  # default_start's own
+        given = fit_mle(spec, start)
+        assert len(calls) == 2  # a caller's start is moved into the support whatever it is
+        assert (default.nll_min, default.n_evals, default.termination) == \
+            (given.nll_min, given.n_evals, given.termination)
+        for a, b in [(default.theta_hat, given.theta_hat), (default.std_errors, given.std_errors),
+                     (default.covariance, given.covariance)]:
+            assert np.array_equal(a, b)
+
 
 class TestBoundsJson:
     def test_round_trip(self, tmp_path):

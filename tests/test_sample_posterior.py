@@ -120,22 +120,25 @@ class TestSeededTraces:
     tempered target, so they show that tempering once left every bit alone.
     All six were pinned again when the fit's covariance, which gives the
     whitening factor F, became the inverse of the exact Hessian: they moved
-    by at most 8e-8 relative.
+    by at most 8e-8 relative. They were pinned once more when the Hessian
+    became one product per block pair with its upper triangle mirrored, and
+    the stationary scale's gradient a ones-column product instead of a sum:
+    they moved by at most 1.5e-13 relative.
     """
 
     PINNED = {
-        (1.0, "rw"): [9.983362107546094, 0.6811862711285029, 2.0335675023216657,
-                      0.14897859095392407],
-        (1.0, "mala"): [10.031810484923566, 0.5126068995421065, 2.2024881888765533,
-                        0.19182675475406816],
-        (1.0, "hmc"): [10.048271156549777, 0.8067458275115751, 1.83797907734532,
-                       0.06128446888985595],
-        (2.5, "rw"): [9.969114278029785, 0.3216142254191912, 2.1924761385827978,
-                      0.11113287639928385],
-        (2.5, "mala"): [10.017716319936156, 0.41890650907665644, 2.1899398576538447,
-                        0.2244248699791329],
-        (2.5, "hmc"): [10.124228678254154, 0.8600076675403829, 1.775839740402347,
-                       0.07031989352821469],
+        (1.0, "rw"): [9.983362107546094, 0.6811862711285044, 2.033567502321666,
+                      0.14897859095392402],
+        (1.0, "mala"): [10.031810484923568, 0.5126068995421063, 2.2024881888765533,
+                        0.19182675475406802],
+        (1.0, "hmc"): [10.048271156549776, 0.8067458275115762, 1.8379790773453193,
+                       0.0612844688898582],
+        (2.5, "rw"): [9.969114278029785, 0.321614225419192, 2.192476138582798,
+                      0.11113287639928383],
+        (2.5, "mala"): [10.017716319936156, 0.41890650907665666, 2.1899398576538447,
+                        0.22442486997913336],
+        (2.5, "hmc"): [10.124228678254143, 0.8600076675403827, 1.7758397404023452,
+                       0.07031989352822486],
     }
 
     @pytest.mark.parametrize("temp", [1.0, 2.5])
