@@ -50,6 +50,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -339,19 +340,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "leapfrog": leapfrog,
         "steps_source": steps_source,
         "dic": dic_value,
-        "params": [
-            {
-                "name": r.name,
-                "mean": r.mean,
-                "sd": r.sd,
-                "q05": r.q05,
-                "q50": r.q50,
-                "q95": r.q95,
-                "rhat": r.rhat,
-                "ess": r.ess,
-            }
-            for r in rows
-        ],
+        "params": [asdict(r) for r in rows],  # SummaryRow's fields, in its order
     }
     _write_json(_output(args, "summary.json"), summary)
 
@@ -393,16 +382,7 @@ def _cmd_lrt(args: argparse.Namespace) -> None:
     data, covariates, _ = load_csv(args.input)
     result = lrt(_build_spec(args.dist, args.null_config, data, covariates),
                  _build_spec(args.dist, args.alt_config, data, covariates))
-    _write_json(
-        _output(args, "lrt.json"),
-        {
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-            "nll_null": result.nll_null,
-            "nll_alt": result.nll_alt,
-        },
-    )
+    _write_json(_output(args, "lrt.json"), asdict(result))  # LrtResult's fields, in order
 
 
 def _emit_error(kind: str, message: str) -> None:

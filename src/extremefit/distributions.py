@@ -90,13 +90,28 @@ def _arrays(x, loc, scale, shape):
     return tuple(np.asarray(v, dtype=float) for v in (x, loc, scale, shape))
 
 
+def _quiet():
+    """The kernel's floating-point rule: no warning; what goes wrong is non-finite.
+
+    Far out in a tail exp(-h) and powers of z overflow, and so do the series
+    of M and M', which are computed on every element and then overwritten.
+    At a scale near 0, z overflows (and counts as outside the support),
+    1 / scale**2 divides by 0, and infinite terms of both signs sum to NaN.
+    Each gives an infinite value or a non-finite derivative, which every
+    caller rejects.
+    """
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _standardize(family: EvdFamily, x, loc, scale, shape):
     """Return (z, inside) for checked arrays, with z NaN outside the support.
 
-    The ufuncs broadcast the arguments; z and inside have the full shape.
+    The ufuncs broadcast the arguments; z and inside have the full shape. A
+    z that is not finite counts as outside. Callers run it under _quiet().
     """
     z = (x - loc) / scale
     inside = shape * z > -1.0
+    inside &= np.isfinite(z)
     if family is EvdFamily.GPD:
         inside &= z >= 0
     return np.where(inside, z, np.nan), inside
@@ -128,52 +143,49 @@ def _terms(family: EvdFamily, x, loc, scale, shape, value: bool, grad: bool,
     (d/dloc, d/dscale, d/dshape) triple when grad, and when hess (which needs
     grad) the second derivatives in (loc, scale, shape) pairs 00, 01, 02, 11,
     12, 22, both NaN outside the support; None for a part not asked for.
+    Callers run it under _quiet().
     """
     z, inside = _standardize(family, x, loc, scale, shape)
     logpdf = parts = second = None
-    # far out in a tail exp(-h) and powers of z overflow, to an infinite value or
-    # a non-finite derivative that the callers reject, and so do the series of M
-    # and M', which are computed on every element and then overwritten there
-    with np.errstate(over="ignore"):
-        h, y = _over_xi(np.log1p, shape, z)
+    h, y = _over_xi(np.log1p, shape, z)
+    if family is EvdFamily.GEV:
+        exp_h = np.exp(-h)
+    if value:
+        out = -np.log(scale) - (1.0 + shape) * h
         if family is EvdFamily.GEV:
-            exp_h = np.exp(-h)
-        if value:
-            out = -np.log(scale) - (1.0 + shape) * h
-            if family is EvdFamily.GEV:
-                out -= exp_h
-            logpdf = np.where(inside, out, -np.inf)
-        if grad:
-            inv_t = 1.0 / (1.0 + y)  # dh/dz
-            z_t, z2, big = z * inv_t, z * z, np.abs(y) >= _SERIES
-            # dh/dxi: z**2 M(y) by the series, the closed form where |y| >= _SERIES
-            dh_dxi = _series(_M_COEF, y)
-            dh_dxi *= z2
-            np.divide(z_t - h, shape, out=dh_dxi, where=big)
-            dlp_dh = -(1.0 + shape)
-            if family is EvdFamily.GEV:
-                dlp_dh = dlp_dh + exp_h
-            gmu = -dlp_dh * inv_t / scale
-            gsig = -(1.0 + dlp_dh * z * inv_t) / scale
-            gxi = dlp_dh * dh_dxi - h
-            parts = gmu, gsig, gxi
-        if hess:
-            # d2h/dxi2: z**3 M'(y) by the series, the closed form where |y| >= _SERIES
-            two_dh = 2.0 * dh_dxi
-            d2h = _series(_M2_COEF, y) * (z2 * z)
-            np.divide(-(z_t * z_t + two_dh), shape, out=d2h, where=big)
-            # loc and scale enter through z alone: dz/dloc = -1/scale, dz/dscale = -z/scale
-            dlp_t, s2 = dlp_dh * inv_t, scale * scale
-            zz = -shape * dlp_dh  # d2(logpdf)/dz2 * t**2, and below its d2/dh2 part
-            zx = dlp_t * z_t + inv_t  # -d2(logpdf)/dz dxi, and below its d2/dh2 part
-            xx = dlp_dh * d2h - two_dh
-            if family is EvdFamily.GEV:  # d2(logpdf)/dh2 = -exp(-h)
-                zz -= exp_h
-                zx += exp_h * inv_t * dh_dxi
-                xx -= exp_h * dh_dxi * dh_dxi
-            mm = zz * inv_t * inv_t / s2
-            ms, mx, mmz = dlp_t / s2, zx / scale, mm * z
-            second = mm, mmz + ms, mx, (mmz + 2.0 * ms) * z + 1.0 / s2, mx * z, xx
+            out -= exp_h
+        logpdf = np.where(inside, out, -np.inf)
+    if grad:
+        inv_t = 1.0 / (1.0 + y)  # dh/dz
+        z_t, z2, big = z * inv_t, z * z, np.abs(y) >= _SERIES
+        # dh/dxi: z**2 M(y) by the series, the closed form where |y| >= _SERIES
+        dh_dxi = _series(_M_COEF, y)
+        dh_dxi *= z2
+        np.divide(z_t - h, shape, out=dh_dxi, where=big)
+        dlp_dh = -(1.0 + shape)
+        if family is EvdFamily.GEV:
+            dlp_dh = dlp_dh + exp_h
+        gmu = -dlp_dh * inv_t / scale
+        gsig = -(1.0 + dlp_dh * z * inv_t) / scale
+        gxi = dlp_dh * dh_dxi - h
+        parts = gmu, gsig, gxi
+    if hess:
+        # d2h/dxi2: z**3 M'(y) by the series, the closed form where |y| >= _SERIES
+        two_dh = 2.0 * dh_dxi
+        d2h = _series(_M2_COEF, y) * (z2 * z)
+        np.divide(-(z_t * z_t + two_dh), shape, out=d2h, where=big)
+        # loc and scale enter through z alone: dz/dloc = -1/scale, dz/dscale = -z/scale
+        dlp_t, s2 = dlp_dh * inv_t, scale * scale
+        zz = -shape * dlp_dh  # d2(logpdf)/dz2 * t**2, and below its d2/dh2 part
+        zx = dlp_t * z_t + inv_t  # -d2(logpdf)/dz dxi, and below its d2/dh2 part
+        xx = dlp_dh * d2h - two_dh
+        if family is EvdFamily.GEV:  # d2(logpdf)/dh2 = -exp(-h)
+            zz -= exp_h
+            zx += exp_h * inv_t * dh_dxi
+            xx -= exp_h * dh_dxi * dh_dxi
+        mm = zz * inv_t * inv_t / s2
+        ms, mx, mmz = dlp_t / s2, zx / scale, mm * z
+        second = mm, mmz + ms, mx, (mmz + 2.0 * ms) * z + 1.0 / s2, mx * z, xx
     return logpdf, parts, second
 
 
@@ -183,7 +195,9 @@ def logpdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     All arguments broadcast against each other. The caller guarantees
     scale > 0 (violations raise DomainError rather than returning -inf).
     """
-    return _terms(family, *_arrays(x, loc, scale, shape), value=True, grad=False)[0]
+    x, loc, scale, shape = _arrays(x, loc, scale, shape)
+    with _quiet():
+        return _terms(family, x, loc, scale, shape, value=True, grad=False)[0]
 
 
 def logpdf(family: EvdFamily, x: float, p: ParamTriple) -> float:
@@ -215,12 +229,13 @@ def quantile(family: EvdFamily, p_nonexceed: float, params: ParamTriple) -> floa
 def cdf_values(family: EvdFamily, x, loc, scale, shape) -> np.ndarray:
     """Vectorized CDF (clamped to [0, 1] outside the support)."""
     x, loc, scale, shape = _arrays(x, loc, scale, shape)
-    z, inside = _standardize(family, x, loc, scale, shape)
-    with np.errstate(over="ignore"):  # as in _terms
+    with _quiet():
+        z, inside = _standardize(family, x, loc, scale, shape)
         h, _ = _over_xi(np.log1p, shape, z)
         out = np.exp(-np.exp(-h)) if family is EvdFamily.GEV else -np.expm1(-h)
-    # outside the support: 1 beyond a finite upper endpoint (xi < 0), else 0
-    return np.where(inside, out, (shape < 0) & (x >= loc))
+    # outside the support: 1 at or above loc (beyond a finite upper endpoint, xi < 0,
+    # or where z overflows), else 0
+    return np.where(inside, out, x >= loc)
 
 
 def cdf(family: EvdFamily, x: float, params: ParamTriple) -> float:
@@ -246,7 +261,9 @@ def grad_logpdf_values(family: EvdFamily, x, loc, scale, shape):
     Entries outside the support are NaN, so a caller that needs interior
     points checks the result for non-finite entries.
     """
-    return _terms(family, *_arrays(x, loc, scale, shape), value=False, grad=True)[1]
+    x, loc, scale, shape = _arrays(x, loc, scale, shape)
+    with _quiet():
+        return _terms(family, x, loc, scale, shape, value=False, grad=True)[1]
 
 
 def grad_logpdf(family: EvdFamily, x: float, p: ParamTriple) -> np.ndarray:

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import EvdFamily, ParamTriple, _terms
+from .distributions import EvdFamily, ParamTriple, _quiet, _terms
 from .errors import DomainError
 from .lmoments import stationary_estimate
 
@@ -133,13 +133,17 @@ class ModelSpec:
 
     @cached_property
     def _blocks(self) -> tuple[_Block, _Block, _Block]:
-        """theta's (loc, scale, shape) blocks in order; a design's columns follow columns_for."""
+        """theta's (loc, scale, shape) blocks in order; a design's columns follow columns_for.
+
+        A block with covariates needs one covariate row per observation.
+        """
         ones = np.ones((self.n_obs, 1))
         blocks, start = [], 0
         for which, count in enumerate(self.config):
             cols = self.columns_for(which)
-            if len(cols) != count or not all(0 <= i < self.n_covariates for i in cols):
-                raise DomainError(f"config {self.config} does not match the covariate columns; "
+            if (len(cols) != count or not all(0 <= i < self.n_covariates for i in cols)
+                    or cols and len(self.covariates) != self.n_obs):
+                raise DomainError(f"config {self.config} does not match the covariates; "
                                   "see validate_config")
             design = np.hstack([ones, self.covariates[:, list(cols)]]) if cols else ones
             blocks.append(_Block(slice(start, start + count + 1), design))
@@ -212,9 +216,9 @@ def validate_config(spec: ModelSpec) -> list[str]:
     return violations
 
 
-def _check_theta(spec: ModelSpec, theta) -> np.ndarray:
+def _check_theta(d: int, theta) -> np.ndarray:
+    """theta as a float (d,) or (K, d) array with finite entries; DomainError otherwise."""
     theta = np.asarray(theta, dtype=float)
-    d = param_dim(spec)
     if theta.ndim not in (1, 2) or theta.shape[-1] != d:
         raise DomainError(f"theta must have length {d}, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
@@ -248,7 +252,7 @@ def realize(spec: ModelSpec, theta) -> RealizedParams:
     A (K, d) theta gives (K, n) arrays. A stationary scale <= 0 in any row
     raises DomainError.
     """
-    theta = _check_theta(spec, theta)
+    theta = _check_theta(param_dim(spec), theta)
     if spec.config[1] == 0 and np.any((scale := theta[..., spec._blocks[1].coefs.start]) <= 0):
         raise DomainError(f"scale must be > 0 when stationary, got {scale}")
     return _realize(spec, theta)
@@ -295,35 +299,36 @@ def _nll_terms(spec: ModelSpec, theta: np.ndarray, value: bool, grad: bool,
                   for i in range(0, len(theta), rows)]
         return tuple(None if part[0] is None else np.concatenate(part)
                      for part in zip(*blocks))
-    (loc, scale, shape), ok = _checked_params(spec, theta)
-    logpdf, parts, second = _terms(spec.family, spec.data, loc, scale, shape, value, grad,
-                                   hess)
-    nll = g = h = None
-    if value:
-        total = logpdf.sum(axis=-1)
-        ok = ok & np.isfinite(total)
-        nll = np.where(ok, -total, np.inf)
-    if grad:
-        gmu, gsig, gxi = parts
-        if spec.config[1]:  # d/dlog(sigma) = sigma d/dsigma
-            gsig = gsig * scale
-        g = -np.concatenate([_matvec(x.T, part)
-                             for (_, x), part in zip(spec._blocks, (gmu, gsig, gxi))], axis=-1)
-        ok = ok & np.isfinite(g).all(axis=-1)
-        if not ok.all():
-            g[~ok] = np.nan
-    if hess:
-        mm, ms, mx, ss, sx, xx = second
-        if spec.config[1]:  # d2/dlog(sigma)2 = sigma**2 d2/dsigma2 + sigma d/dsigma
-            ms, sx, ss = ms * scale, sx * scale, ss * scale * scale + gsig
-        h = np.empty((theta.size, theta.size))
-        pairs = itertools.combinations_with_replacement(spec._blocks, 2)
-        for (a, b), w in zip(pairs, (mm, ms, mx, ss, sx, xx)):
-            h[a.coefs, b.coefs] = -(a.design.T @ (b.design * w[:, None]))
-        for i in range(1, theta.size):  # mirror the upper triangle; np.tril_indices costs more
-            h[i, :i] = h[:i, i]
-        h = h if ok else np.full_like(h, np.nan)
-    return nll, g, h
+    with _quiet():  # the kernel and the sums over it: see distributions._quiet
+        (loc, scale, shape), ok = _checked_params(spec, theta)
+        logpdf, parts, second = _terms(spec.family, spec.data, loc, scale, shape, value, grad,
+                                       hess)
+        nll = g = h = None
+        if value:
+            total = logpdf.sum(axis=-1)
+            ok = ok & np.isfinite(total)
+            nll = np.where(ok, -total, np.inf)
+        if grad:
+            gmu, gsig, gxi = parts
+            if spec.config[1]:  # d/dlog(sigma) = sigma d/dsigma
+                gsig = gsig * scale
+            g = -np.concatenate([_matvec(x.T, part) for (_, x), part
+                                 in zip(spec._blocks, (gmu, gsig, gxi))], axis=-1)
+            ok = ok & np.isfinite(g).all(axis=-1)
+            if not ok.all():
+                g[~ok] = np.nan
+        if hess:
+            mm, ms, mx, ss, sx, xx = second
+            if spec.config[1]:  # d2/dlog(sigma)2 = sigma**2 d2/dsigma2 + sigma d/dsigma
+                ms, sx, ss = ms * scale, sx * scale, ss * scale * scale + gsig
+            h = np.empty((theta.size, theta.size))
+            pairs = itertools.combinations_with_replacement(spec._blocks, 2)
+            for (a, b), w in zip(pairs, (mm, ms, mx, ss, sx, xx)):
+                h[a.coefs, b.coefs] = -(a.design.T @ (b.design * w[:, None]))
+            for i in range(1, theta.size):  # mirror the upper triangle; np.tril_indices costs more
+                h[i, :i] = h[:i, i]
+            h = h if ok else np.full_like(h, np.nan)
+        return nll, g, h
 
 
 def _scalar(nll):
@@ -335,7 +340,7 @@ def neg_log_likelihood(spec: ModelSpec, theta):
 
     A (K, d) theta gives a (K,) array, one nll per row.
     """
-    return _scalar(_nll_terms(spec, _check_theta(spec, theta), value=True, grad=False)[0])
+    return _scalar(_nll_terms(spec, _check_theta(param_dim(spec), theta), value=True, grad=False)[0])
 
 
 def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
@@ -344,7 +349,7 @@ def grad_neg_log_likelihood(spec: ModelSpec, theta) -> np.ndarray:
     Requires a finite nll and a finite gradient at theta: a (d,) theta where
     either is not raises DomainError; a (K, d) theta gets NaN rows there.
     """
-    g = _nll_terms(spec, _check_theta(spec, theta), value=False, grad=True)[1]
+    g = _nll_terms(spec, _check_theta(param_dim(spec), theta), value=False, grad=True)[1]
     if g.ndim == 1 and math.isnan(g[0]):  # a row is NaN throughout or finite
         raise DomainError("nll is infinite at theta; gradient undefined")
     return g
@@ -357,5 +362,5 @@ def nll_and_grad(spec: ModelSpec, theta):
     NaN row, not a DomainError, wherever the nll is +inf or the gradient is
     not finite, for a (d,) theta as for a (K, d) one.
     """
-    nll, g, _ = _nll_terms(spec, _check_theta(spec, theta), value=True, grad=True)
+    nll, g, _ = _nll_terms(spec, _check_theta(param_dim(spec), theta), value=True, grad=True)
     return _scalar(nll), g

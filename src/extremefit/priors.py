@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelSpec, _slope_scales
+from .model import ModelSpec, _check_theta, _slope_scales
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -106,24 +106,15 @@ def default_priors(spec: ModelSpec) -> PriorSet:
     return PriorSet(tuple(comps))
 
 
-def _check_len(priors: PriorSet, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != len(priors):
-        length = theta.shape[-1] if theta.ndim else theta.size
-        raise DomainError(f"theta length {length} does not match prior count {len(priors)}")
-    return theta
-
-
 def _in_support(x, lo, hi):
     """Rows of x (the uniform columns of theta) inside every [lo, hi]."""
     return ((x >= lo) & (x <= hi)).all(axis=-1)
 
 
 def _prior_terms(priors: PriorSet, theta: np.ndarray, value: bool, grad: bool):
-    """log_prior and its gradient at a length-checked theta in one pass; None if not asked.
+    """log_prior and its gradient at a checked theta in one pass; None if not asked.
 
-    Gradient rows outside a uniform support are NaN. Rows where theta is not
-    finite are the caller's to mark: see _finite_rows.
+    Gradient rows outside a uniform support are NaN.
     """
     normal, mean, sd, var, const, unif, lo, hi, unif_const = priors._packed
     diff = theta[..., normal] - mean
@@ -145,31 +136,23 @@ def _prior_terms(priors: PriorSet, theta: np.ndarray, value: bool, grad: bool):
     return out, g
 
 
-def _finite_rows(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g with a NaN row wherever theta's row is not finite."""
-    bad = ~np.isfinite(theta).all(axis=-1)
-    if bad.any():
-        g[bad] = np.nan
-    return g
-
-
 def log_prior(priors: PriorSet, theta):
     """Sum of component log-densities; -inf outside any uniform support.
 
     A (K, d) theta gives a (K,) array, each row bit-identical to the (d,)
-    call on it.
+    call on it. As in the model, theta needs one entry per prior, all finite,
+    in either form: DomainError otherwise.
     """
-    return _prior_terms(priors, _check_len(priors, theta), value=True, grad=False)[0]
+    return _prior_terms(priors, _check_theta(len(priors), theta), value=True, grad=False)[0]
 
 
 def grad_log_prior(priors: PriorSet, theta) -> np.ndarray:
-    """Gradient of log_prior; requires theta finite and inside every uniform support.
+    """Gradient of log_prior; requires theta inside every uniform support.
 
-    A (d,) theta that is not raises DomainError; a (K, d) theta gets NaN
-    rows there.
+    A (d,) theta outside one raises DomainError; a (K, d) theta gets NaN
+    rows there. theta is checked as in log_prior.
     """
-    theta = _check_len(priors, theta)
-    g = _finite_rows(theta, _prior_terms(priors, theta, value=False, grad=True)[1])
+    g = _prior_terms(priors, _check_theta(len(priors), theta), value=False, grad=True)[1]
     if g.ndim == 1 and np.isnan(g).all():  # a NaN row
         raise DomainError("log prior is -inf at theta; gradient undefined")
     return g
@@ -182,9 +165,7 @@ def log_prior_and_grad(priors: PriorSet, theta):
     NaN row, not a DomainError, where grad_log_prior's is undefined, for a
     (d,) theta as for a (K, d) one.
     """
-    theta = _check_len(priors, theta)
-    lp, g = _prior_terms(priors, theta, value=True, grad=True)
-    return lp, _finite_rows(theta, g)
+    return _prior_terms(priors, _check_theta(len(priors), theta), value=True, grad=True)
 
 
 def priors_to_json(priors: PriorSet) -> list[dict]:

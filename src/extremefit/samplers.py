@@ -43,6 +43,9 @@ Conventions shared by the kernels:
   to 25% of num_samples).
 * the acceptance rate counts post-burn-in proposals only, and proposals
   rejected because a trajectory diverged still count in the denominator;
+* a trajectory runs all its leapfrog steps: a row whose gradient or
+  position turns non-finite carries NaN or inf to the end, where one
+  finiteness test rejects it;
 * a stored sample always has finite log-posterior;
 * no kernel adapts: a run keeps its steps from the first iteration to the
   last, burn-in included.
@@ -87,6 +90,10 @@ class Target:
     the two callables. A target without it gets one made of the two, which
     takes the gradient only where the log-posterior is above -inf.
 
+    log_post and value_and_grad get finite rows only. grad_log_post may get
+    rows that are not finite mid-trajectory, after a step diverged; it must
+    return a non-finite row there, not raise (``posterior_target``'s gives NaN).
+
     batch_rows is how many rows one call evaluates for about the cost of one:
     the most proposals a chain scores per round, each while its chance of
     being reached is at least 1 / batch_rows (see the module docstring).
@@ -128,7 +135,8 @@ def posterior_target(spec: ModelSpec, priors: PriorSet) -> Target:
     gradient is undefined (outside the support, or a uniform prior's), instead
     of raising, so that integrators can flag divergences. A non-finite theta
     entry makes log_post and value_and_grad raise DomainError, in either form;
-    grad_log_post gives that row NaN. batch_rows is
+    grad_log_post gives that row NaN, as the Target contract asks of a
+    gradient that a diverged trajectory reaches. batch_rows is
     max(1, _CHEAP_BATCH_VALUES // n): about that many (K, n) values cost
     little more than one row, and at n >= _CHEAP_BATCH_VALUES it is 1.
     """
@@ -184,34 +192,26 @@ def _prepared(target: Target, T: float, lone: bool) -> Target:
     if pair is None and grad is not None:
         def pair(theta: np.ndarray):
             lp = log_post(theta)
-            inside = [k for k, v in enumerate(lp.tolist()) if v > -math.inf]
-            return lp, _on_rows(grad, theta, inside, np.nan, theta.shape)
+            inside = lp > -math.inf
+            return _on_rows(lambda x: (lp[inside], grad(x)), theta, inside)
     if T == 1.0:
         return Target(log_post, grad, pair)
     return Target(lambda theta: log_post(theta) / T, grad and (lambda theta: grad(theta) / T),
                   pair and (lambda theta: tuple(v / T for v in pair(theta))))
 
 
-# Rows of a (K, d) state are selected by slice(None) (every row) or an index array.
-def _on_rows(fn, x: np.ndarray, rows, fill: float, shape) -> np.ndarray:
-    """fn(x) on the selected rows of x; the other rows hold fill."""
-    if isinstance(rows, slice) or len(rows) == len(x):
-        return fn(x)
-    out = np.full(shape, fill)
-    if len(rows):
-        out[rows] = fn(x[rows])
-    return out
+def _on_rows(pair, x: np.ndarray, rows: np.ndarray):
+    """pair's (values, gradients) on the rows of x that the (K,) mask rows keeps.
 
-
-def _finite_part(x: np.ndarray, rows):
-    """rows narrowed to those whose row of x (values on the selected rows) is finite.
-
-    Also returns the kept positions within x, to narrow x alike.
+    The other rows get the value -inf and a NaN gradient, as a point outside the
+    support does, and pair never sees them.
     """
-    if np.isfinite(x).all():
-        return rows, slice(None)
-    kept = np.flatnonzero(np.isfinite(x).all(axis=-1))
-    return (kept if isinstance(rows, slice) else rows[kept]), kept
+    if rows.all():
+        return pair(x)
+    lp, g = np.full(len(x), -math.inf), np.full(x.shape, np.nan)
+    if rows.any():
+        lp[rows], g[rows] = pair(x[rows])
+    return lp, g
 
 
 # A kernel returns step(z, owner) over the shared (K, d) state: row r of the
@@ -238,16 +238,11 @@ def _hmc(target, mass, n_leapfrog, theta, lp, g, eps):
     def step(z, owner):
         p0 = sqrt_mass * z
         # g holds each chain's gradient from its accepted trajectory's end (or the start)
-        q, p, rows = _integrate(target.grad_log_post, theta[owner], p0, g[owner], half, eps,
-                                drift, n_leapfrog)
-        # the end: one value_and_grad call on the rows still moving
-        if isinstance(rows, slice) or len(rows) == len(q):
-            lp_new, g_new = target.value_and_grad(q)
-        else:
-            lp_new, g_new = np.full(len(q), -math.inf), np.full(q.shape, np.nan)
-            if len(rows):
-                lp_new[rows], g_new[rows] = target.value_and_grad(q[rows])
-        p += half * g_new  # NaN on the rows that stopped or left the support: a NaN ratio
+        q, p = _integrate(target.grad_log_post, theta[owner], p0, g[owner], half, eps, drift,
+                          n_leapfrog)
+        # the end: one value_and_grad call on the rows whose trajectory stayed finite
+        lp_new, g_new = _on_rows(target.value_and_grad, q, np.isfinite(q).all(axis=-1))
+        p += half * g_new  # NaN on the rows that diverged or left the support: a NaN ratio
         h0 = 0.5 * (p0 * p0 * inv_mass).sum(axis=-1) - lp[owner]
         h1 = 0.5 * (p * p * inv_mass).sum(axis=-1) - lp_new
         return h0 - h1, ((theta, q), (lp, lp_new), (g, g_new))
@@ -399,11 +394,13 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int, mass_dia
     """Leapfrog integration of Hamiltonian dynamics.
 
     Potential U(theta) = -log_post(theta), untempered; kinetic energy uses a
-    diagonal mass matrix. Returns (theta', momentum', diverged); a non-finite
-    gradient or position mid-trajectory sets the divergence flag, which
-    callers treat as an automatic rejection. For (K, d) states (with batched
-    callables, see ``sample_chains``) diverged is a (K,) mask, and a
-    diverging row stops there while the other rows keep integrating.
+    diagonal mass matrix. Returns (theta', momentum', diverged): diverged
+    flags a non-finite theta' or momentum', which callers treat as an
+    automatic rejection. A non-finite gradient or position mid-trajectory is
+    carried to the end as NaN or inf, so a diverged row comes back non-finite,
+    not at its last finite point. For (K, d) states (with batched callables,
+    see ``sample_chains``) diverged is a (K,) mask, and each row integrates as
+    it would alone.
     """
     if target.grad_log_post is None:
         raise DomainError("leapfrog requires a target gradient")
@@ -412,42 +409,29 @@ def leapfrog(target: Target, theta, momentum, eps: float, n_steps: int, mass_dia
     if not np.all((mass > 0) & (mass < math.inf)):  # NaN fails too
         raise DomainError("mass_diag entries must be finite and > 0")
     grad = _prepared(target, 1.0, np.ndim(theta) != 2).grad_log_post
-    g = grad(q)
-    start, _ = _finite_part(g, np.arange(len(q)))  # a row with no gradient never moves
-    diverged = np.ones(len(q), dtype=bool)
-    if len(start):
-        eps = float(eps)
-        q[start], p[start], rows = _integrate(grad, q[start], p[start], g[start], 0.5 * eps, eps,
-                                              eps * (1.0 / mass), n_steps, finish=True)
-        diverged[start[rows]] = False
+    eps = float(eps)
+    half = 0.5 * eps
+    q, p = _integrate(grad, q, p, grad(q), half, eps, eps * (1.0 / mass), n_steps)
+    p += half * grad(q)
+    diverged = ~(np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1))
     return (q, p, diverged) if np.ndim(theta) == 2 else (q[0], p[0], bool(diverged[0]))
 
 
-def _integrate(grad, q, p, g, half, eps, drift, n_steps, finish=False):
-    """Leapfrog from (K, d) q and p; returns new (q, p) and the rows still moving.
+def _integrate(grad, q, p, g, half, eps, drift, n_steps):
+    """Leapfrog from (K, d) q and p, g the log-posterior gradient at q; returns (q, p).
 
-    g is the log-posterior gradient at q, finite on every row; half
-    and eps are the half and full steps and drift the (d,) position steps
-    eps / mass. A row whose position or gradient turns non-finite stops
-    there while the other rows keep integrating. Without finish the last
-    gradient and half step of the momenta are left to the caller, which
+    half and eps are the half and full steps and drift the (d,) position steps
+    eps / mass. Every row runs every step: one whose gradient or position
+    turns non-finite carries NaN or inf to the end, where the caller reads
+    divergence once. The last half step of the momenta is the caller's, which
     evaluates the end point itself.
     """
     p = p + half * g
     q = q + drift * p
-    rows, _ = _finite_part(q, slice(None))
-    for step in range(n_steps if finish else n_steps - 1):
-        if isinstance(rows, np.ndarray) and not rows.size:
-            break
-        g = grad(q[rows])
-        rows, kept = _finite_part(g, rows)
-        if step == n_steps - 1:
-            p[rows] += half * g[kept]
-        else:
-            p[rows] += eps * g[kept]
-            q[rows] += drift * p[rows]
-            rows, _ = _finite_part(q[rows], rows)
-    return q, p, rows
+    for _ in range(n_steps - 1):
+        p = p + eps * grad(q)
+        q = q + drift * p
+    return q, p
 
 
 def hmc(target: Target, num_samples: int, initial_params, eps: float,

@@ -224,6 +224,17 @@ class TestGradLogpdf:
         far = grad_logpdf_values(GEV, -x, 0.0, 1.0, -shape)
         assert not np.isfinite(np.concatenate(far)).all()
 
+    @pytest.mark.parametrize("family", [GEV, GPD])
+    @pytest.mark.parametrize("shape", [-0.2, 0.0, 0.2])
+    def test_scale_near_zero_gives_no_warning(self, family, shape):
+        # (x - loc) / 5e-324 overflows for every x here: each lies outside the
+        # support, and the cdf steps from 0 to 1 at loc
+        x = np.array([-5.0, -1.0, 1.0, 5.0])
+        lp = logpdf_values(family, x, 0.0, 5e-324, shape)
+        g = np.concatenate(grad_logpdf_values(family, x, 0.0, 5e-324, shape))
+        assert np.all(lp == -math.inf) and np.isnan(g).all()
+        assert cdf_values(family, x, 0.0, 5e-324, shape).tolist() == [0.0, 0.0, 1.0, 1.0]
+
     def test_matches_central_differences(self):
         rng = RngState(77, 0)
         checked = 0

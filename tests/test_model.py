@@ -294,6 +294,29 @@ class TestHessian:
         assert np.isnan(_hessian(s, [0.0, 1.0, -0.5])).all()  # 5 lies above the endpoint 2
 
 
+class TestVanishingScale:
+    """A scale so near 0 that some (x - loc) / scale overflows puts that x outside the support."""
+
+    @given(family=st.sampled_from([GEV, EvdFamily.GPD]), log_link=st.booleans(),
+           rows=st.lists(st.tuples(st.floats(-5.0, 15.0),
+                                   st.floats(5e-324, 5e-309, allow_subnormal=True),
+                                   st.floats(-0.5, 0.5)), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_value_gradient_and_hessian_are_inf_and_nan(self, family, log_link, rows):
+        # the data spread over more than 1, so each row has an |x - loc| above
+        # 5e-309 * 1.8e308; the warnings filter turns a warning into a failure here
+        t = np.linspace(0.0, 1.0, 20)
+        x = quantile_values(family, np.linspace(0.02, 0.98, 20), 0.0 if family is
+                            EvdFamily.GPD else 5.0, 2.0, 0.1)
+        spec = _spec(x, t[:, None], (0, int(log_link), 0), family)
+        theta = np.array([[loc, math.log(scale), 0.0, shape] if log_link
+                          else [loc, scale, shape] for loc, scale, shape in rows])
+        nll, g = nll_and_grad(spec, theta)
+        assert np.all(nll == math.inf) and np.isnan(g).all()
+        for row in theta:
+            assert np.isnan(_hessian(spec, row)).all()
+
+
 class TestValidateConfig:
     def test_ok(self):
         s = _spec(np.ones(4), np.ones((4, 1)), (1, 0, 0))
@@ -329,6 +352,7 @@ class TestValidateConfig:
         (np.ones((5, 2)), (1, 0, 0), ((0, 1), (), ())),  # two columns for one slope
         (np.ones((5, 2)), (1, 0, 0), ((5,), (), ())),
         (np.ones((5, 1)), (2, 0, 0), None),
+        (np.ones((4, 1)), (1, 0, 0), None),  # a covariate row short
     ])
     def test_model_functions_refuse_what_validate_config_reports(self, cov, config, columns):
         s = _spec(np.arange(1.0, 6.0), cov, config, columns=columns)

@@ -20,6 +20,7 @@ from extremefit import (
     default_priors,
     grad_log_prior,
     log_prior,
+    log_prior_and_grad,
     posterior_summary,
     posterior_target,
     sample,
@@ -255,3 +256,16 @@ class TestBatchAxis:
             grad_log_prior(priors, [math.nan, 0.0])
         grad = grad_log_prior(priors, np.array([[0.5, 0.0], [0.0, 2.0]]))
         assert np.array_equal(grad[0], [-0.5, 0.0]) and np.all(np.isnan(grad[1]))
+
+    @pytest.mark.parametrize("column", [0, 1])  # a normal and a uniform component
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_domain_error(self, column, bad):
+        """The model's theta check: a non-finite entry raises, in the (d,) and (K, d) forms."""
+        priors = PriorSet((PriorComponent("normal", 0.0, 1.0),
+                           PriorComponent("uniform", -1.0, 1.0)))
+        theta = np.array([0.5, 0.0])
+        theta[column] = bad
+        for fn in (log_prior, grad_log_prior, log_prior_and_grad):
+            for value in (theta, np.array([[0.5, 0.0], theta])):
+                with pytest.raises(DomainError, match="finite"):
+                    fn(priors, value)

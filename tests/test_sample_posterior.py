@@ -1,6 +1,7 @@
 """sample_posterior: the whitened rw/MALA/HMC recipe, and its calibration by SBC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ class TestSamplePosterior:
         spec = _gev_spec()
         with pytest.raises(DomainError, match="unknown sampler"):
             sample_posterior(spec, default_priors(spec), "nuts", 10, [RngState(0, 0)])
+
+    def test_hmc_leaving_the_support_warns_nothing(self):
+        """An hmc position with a scale near 1e-313 overflows z, which counts as outside.
+
+        GEV (1,1,1) at n = 30: a leapfrog step reaches a log-scale near -720
+        with |loc| in the thousands, and (x - loc) / scale overflowed there.
+        """
+        t = np.linspace(0.0, 1.0, 30)
+        u = np.random.default_rng(100).random(30)
+        x = quantile_values(EvdFamily.GEV, u, 10.0 + 2.0 * t, 2.0 * np.exp(0.5 * t), 0.1)
+        spec = ModelSpec(data=x, covariates=t[:, None], config=(1, 1, 1),
+                         family=EvdFamily.GEV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chains, source, n_leapfrog = sample_posterior(
+                spec, default_priors(spec), "hmc", 2000, [RngState(0, k) for k in range(4)])
+        assert (source, n_leapfrog) == ("mle", 4)
+        # the rates of the run with the warning ignored, before z's overflow was silenced
+        assert [c.acceptance_rate for c in chains] == [0.621, 0.614, 0.584, 0.601]
 
 
 class TestTemperedScales:

@@ -265,6 +265,38 @@ class TestLeapfrog:
         _, _, diverged = leapfrog(target, [0.0], [1.0], 0.1, 5, [1.0])
         assert diverged
 
+    @given(rows=st.lists(st.tuples(st.floats(-1.4, 1.4), st.floats(-1.4, 1.4),
+                                   st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                                   st.sampled_from(["none", "nan_p", "inf_q"])),
+                         min_size=1, max_size=5),
+           eps=st.floats(0.05, 0.9), n_steps=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_rows_equal_lone_calls_and_diverge_apart(self, rows, eps, n_steps):
+        """diverged is exactly a non-finite row; the other rows are as they would be alone.
+
+        edge_target's gradient is NaN beyond |q_i| = 1.5, so long steps diverge
+        on their own, and some rows start with a NaN momentum or an infinite position.
+        """
+        target, mass = edge_target(), [1.0, 1.0]
+        q0, p0 = np.array([r[:2] for r in rows]), np.array([r[2:4] for r in rows])
+        for k, (*_, poison) in enumerate(rows):
+            if poison == "nan_p":
+                p0[k, 0] = math.nan
+            elif poison == "inf_q":
+                q0[k, 1] = math.inf
+        q, p, diverged = leapfrog(target, q0, p0, eps, n_steps, mass)
+        finite = np.isfinite(q).all(axis=-1) & np.isfinite(p).all(axis=-1)
+        assert np.array_equal(diverged, ~finite)
+        for k in range(len(rows)):
+            q1, p1, d1 = leapfrog(target, q0[k], p0[k], eps, n_steps, mass)
+            assert d1 == diverged[k]
+            assert np.array_equal(q1, q[k], equal_nan=True)
+            assert np.array_equal(p1, p[k], equal_nan=True)
+        if finite.any():  # without the diverging rows the others do not change
+            q2, p2, d2 = leapfrog(target, q0[finite], p0[finite], eps, n_steps, mass)
+            assert not d2.any()
+            assert np.array_equal(q2, q[finite]) and np.array_equal(p2, p[finite])
+
     @pytest.mark.parametrize("mass", [math.inf, math.nan, 0.0, -1.0])
     def test_mass_must_be_finite_and_positive(self, mass):
         # an infinite mass would leave q where it was and report no divergence
@@ -624,16 +656,19 @@ class TestLockstep:
             assert chain.acceptance_rate == alone.acceptance_rate
             assert 0.0 < chain.acceptance_rate < 1.0
 
-    def test_leapfrog_rows_freeze_on_divergence(self):
+    def test_leapfrog_diverged_rows_end_non_finite(self):
+        """A diverged row carries NaN to the end; the batch's rows equal lone calls."""
         target = edge_target()
         q0 = np.array([[0.0, 0.0], [1.2, 0.0], [0.3, -0.2]])
         p0 = np.array([[0.5, 0.1], [2.0, 0.0], [-0.4, 0.3]])
         q, p, diverged = leapfrog(target, q0, p0, 0.2, 10, [1.0, 1.0])
         assert diverged.tolist() == [False, True, False]
+        assert not np.isfinite(q[1]).any() and not np.isfinite(p[1]).any()
         for k in range(3):
             q1, p1, d1 = leapfrog(target, q0[k], p0[k], 0.2, 10, [1.0, 1.0])
             assert d1 == diverged[k]
-            assert np.array_equal(q1, q[k]) and np.array_equal(p1, p[k])
+            assert np.array_equal(q1, q[k], equal_nan=True)
+            assert np.array_equal(p1, p[k], equal_nan=True)
 
     def test_draw_order_matches_reference_loop(self):
         """Per iteration a chain draws its d normals, then one uniform."""
